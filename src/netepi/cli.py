@@ -8,6 +8,7 @@ simulation error. All randomness flows from explicit seeds; `generate
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import secrets
 import sys
@@ -26,8 +27,9 @@ from .dynamics import (
     init_state,
     summarize_trajectory,
 )
-from .errors import ConfigError, EdgeListFormatError, NetEpiError, ParameterError
+from .errors import ConfigError, EdgeListFormatError, NetEpiError
 from .experiments import (
+    NETWORK_FIELDS,
     NetworkSource,
     SweepSpec,
     experiment_density_comparison,
@@ -129,20 +131,12 @@ def _cmd_generate(args) -> int:
         print(f"seed: {seed}", file=sys.stderr)
     else:
         seed = int(args.seed)
-    if args.model == "er":
-        if args.p is None:
-            raise ConfigError("--model er requires --p")
-        g = graphs.generate_er(args.n, args.p, seed)
-    elif args.model == "ws":
-        if args.k is None or args.p_rewire is None:
-            raise ConfigError("--model ws requires --k and --p-rewire")
-        g = graphs.generate_ws(args.n, args.k, args.p_rewire, seed)
-    else:
-        if args.m is None:
-            raise ConfigError("--model ba requires --m")
-        g = graphs.generate_ba(args.n, args.m, seed)
-    import io
-
+    # Each field of the model is the option of the same name (p_rewire: --p-rewire).
+    values = {name: getattr(args, name) for name in NETWORK_FIELDS[args.model]}
+    missing = [f"--{name.replace('_', '-')}" for name, v in values.items() if v is None]
+    if missing:
+        raise ConfigError(f"--model {args.model} requires {' and '.join(missing)}")
+    g = getattr(NetworkSource, args.model)(**values).build_graph(seed)
     buf = io.StringIO()
     graphs.save_edge_list(g, buf)
     _write_text(args.out, buf.getvalue())
@@ -161,8 +155,10 @@ def _cmd_metrics(args) -> int:
 
 
 def _run_config(cfg):
-    init_seed, run_seed = (
-        int(x) for x in np.random.SeedSequence(cfg.seed).generate_state(2)
+    # One child stream per role, so none alias. generate_state is
+    # prefix-stable: init and run keep the words of a two-stream split.
+    init_seed, run_seed, graph_seed = (
+        int(x) for x in np.random.SeedSequence(cfg.seed).generate_state(3)
     )
     params = RateParams(cfg.beta, cfg.gamma, cfg.alpha)
     if cfg.engine == "ode":
@@ -184,7 +180,7 @@ def _run_config(cfg):
             cfg.t_max, run_seed,
         )
     else:
-        g = cfg.network.build_graph(init_seed)
+        g = cfg.network.build_graph(graph_seed)
         state = init_state(g, cfg.initial_infected, init_seed)
         traj = gillespie_run(
             g, params, state, cfg.t_max, run_seed, interventions=cfg.interventions or None

@@ -1,71 +1,102 @@
-"""JSON run-configuration parsing and validation."""
+"""JSON run-configuration parsing and validation.
+
+Every value is coerced to its type here, once. A value of the wrong type,
+a non-finite number or a block that is not an object is a ConfigError;
+a missing or null optional field takes its default.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConfigError
-from .experiments import NetworkSource, SweepSpec
+from .errors import ConfigError, ParameterError
+from .experiments import NETWORK_FIELDS, OPTIONAL_NETWORK_FIELDS, NetworkSource, SweepSpec
 from .interventions import InterventionSpec
 
 ENGINES = ("gillespie", "abm", "ode")
 
-_NETWORK_KEYS = {
-    "er": {"n", "p"},
-    "ws": {"n", "k", "p_rewire"},
-    "ba": {"n", "m"},
-    "edge_list": {"path", "compact_ids"},
-    "well_mixed": {"n", "k_avg"},
-}
-_NETWORK_REQUIRED = {
-    "er": {"n", "p"},
-    "ws": {"n", "k", "p_rewire"},
-    "ba": {"n", "m"},
-    "edge_list": {"path"},
-    "well_mixed": {"n", "k_avg"},
-}
+_JSON_TYPES = {str: "a string", bool: "a boolean", dict: "an object", list: "an array"}
+_REQUIRED = object()
 
 
-def _require(block: dict, key: str, path: str):
-    if key not in block:
-        raise ConfigError(f"missing required field {path}.{key}")
-    return block[key]
+def _coerce(value, typ: type, where: str):
+    """`value` as `typ`: JSON types must match, numbers must be finite."""
+    if typ in _JSON_TYPES:
+        if not isinstance(value, typ):
+            raise ConfigError(f"{where} must be {_JSON_TYPES[typ]}, got {value!r}")
+        return value
+    try:
+        out = typ(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    if not math.isfinite(out):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return out
 
 
-def _check_keys(block: dict, allowed: set, path: str) -> None:
+def _field(block: dict, key: str, typ: type, path: str, default=_REQUIRED):
+    if block.get(key) is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required field {path}.{key}")
+        return default
+    return _coerce(block[key], typ, f"{path}.{key}")
+
+
+def _positive(value: float, where: str) -> float:
+    if value <= 0:
+        raise ConfigError(f"{where} must be positive, got {value}")
+    return value
+
+
+def _check_keys(block, allowed: set, path: str) -> dict:
+    _coerce(block, dict, path)
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) under {path}: {sorted(unknown)}")
+    return block
+
+
+def _load(text: str, path: str, allowed: set) -> dict:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON: {exc}") from exc
+    return _check_keys(doc, allowed, path)
 
 
 def parse_network_block(block: dict, path: str = "network") -> NetworkSource:
     """One of er/ws/ba/edge_list/well_mixed; exactly one source allowed."""
-    if not isinstance(block, dict):
-        raise ConfigError(f"{path} must be an object")
-    kinds = [k for k in block if k in _NETWORK_KEYS]
-    _check_keys(block, set(_NETWORK_KEYS), path)
-    if len(kinds) != 1:
-        raise ConfigError(
-            f"{path} must name exactly one source, got {sorted(kinds) or 'none'}"
+    _check_keys(block, set(NETWORK_FIELDS), path)
+    if len(block) != 1:
+        raise ConfigError(f"{path} must name exactly one source, got {sorted(block) or 'none'}")
+    ((kind, inner),) = block.items()
+    fields = NETWORK_FIELDS[kind]
+    _check_keys(inner, set(fields), f"{path}.{kind}")
+    values = {
+        name: _field(inner, name, typ, f"{path}.{kind}")
+        for name, typ in fields.items()
+        if inner.get(name) is not None or name not in OPTIONAL_NETWORK_FIELDS
+    }
+    return getattr(NetworkSource, kind)(**values)
+
+
+def parse_intervention_block(block: dict, path: str = "intervention") -> InterventionSpec:
+    """One scheduled measure: `t` and `action`, with `cap` or `target` and a `seed`."""
+    _check_keys(block, {"t", "action", "cap", "target", "seed"}, path)
+    try:
+        return InterventionSpec(
+            trigger_time=_field(block, "t", float, path),
+            action=_field(block, "action", str, path),
+            cap=_field(block, "cap", int, path, None),
+            target=_field(block, "target", float, path, None),
+            seed=_field(block, "seed", int, path, 0),
         )
-    kind = kinds[0]
-    inner = block[kind]
-    if not isinstance(inner, dict):
-        raise ConfigError(f"{path}.{kind} must be an object")
-    _check_keys(inner, _NETWORK_KEYS[kind], f"{path}.{kind}")
-    for req in _NETWORK_REQUIRED[kind]:
-        _require(inner, req, f"{path}.{kind}")
-    if kind == "er":
-        return NetworkSource.er(int(inner["n"]), float(inner["p"]))
-    if kind == "ws":
-        return NetworkSource.ws(int(inner["n"]), int(inner["k"]), float(inner["p_rewire"]))
-    if kind == "ba":
-        return NetworkSource.ba(int(inner["n"]), int(inner["m"]))
-    if kind == "edge_list":
-        return NetworkSource.edge_list(str(inner["path"]), bool(inner.get("compact_ids", False)))
-    return NetworkSource.well_mixed(int(inner["n"]), float(inner["k_avg"]))
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -100,12 +131,9 @@ class RunConfig:
             "dt": self.dt,
             "interventions": [iv.to_dict() for iv in self.interventions],
         }
-        if self.trajectory_path or self.summary_path:
-            out["output"] = {}
-            if self.trajectory_path:
-                out["output"]["trajectory"] = self.trajectory_path
-            if self.summary_path:
-                out["output"]["summary"] = self.summary_path
+        paths = {"trajectory": self.trajectory_path, "summary": self.summary_path}
+        if any(paths.values()):
+            out["output"] = {key: path for key, path in paths.items() if path}
         return out
 
     def to_json(self) -> str:
@@ -114,100 +142,80 @@ class RunConfig:
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a single-run JSON config; defaults are resolved."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    _check_keys(
-        doc,
+    doc = _load(
+        text, "config",
         {"network", "rates", "init", "t_max", "engine", "dt", "interventions", "output"},
-        "config",
     )
-    network = parse_network_block(_require(doc, "network", "config"))
+    network = parse_network_block(_field(doc, "network", dict, "config"))
 
-    rates = _require(doc, "rates", "config")
-    _check_keys(rates, {"beta", "gamma", "alpha"}, "rates")
-    beta = float(_require(rates, "beta", "rates"))
-    gamma = float(_require(rates, "gamma", "rates"))
-    alpha = float(rates.get("alpha", 0.0))
-
-    init = _require(doc, "init", "config")
-    _check_keys(init, {"fraction", "count", "seed"}, "init")
+    rates = _check_keys(_field(doc, "rates", dict, "config"), {"beta", "gamma", "alpha"}, "rates")
+    init = _check_keys(_field(doc, "init", dict, "config"), {"fraction", "count", "seed"}, "init")
     if ("fraction" in init) == ("count" in init):
         raise ConfigError("init must give exactly one of 'fraction' or 'count'")
     initial: int | float = (
-        float(init["fraction"]) if "fraction" in init else int(init["count"])
+        _field(init, "fraction", float, "init") if "fraction" in init
+        else _field(init, "count", int, "init")
     )
-    seed = int(_require(init, "seed", "init"))
+    seed = _field(init, "seed", int, "init")
+    if seed < 0:
+        raise ConfigError(f"init.seed must be >= 0, got {seed}")
 
-    t_max = float(_require(doc, "t_max", "config"))
-    engine = doc.get("engine", "gillespie")
+    engine = _field(doc, "engine", str, "config", "gillespie")
     if engine not in ENGINES:
         raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
     if engine in ("abm", "ode") and network.kind != "well_mixed":
         raise ConfigError(f"engine {engine!r} requires a well_mixed network block")
 
     interventions = tuple(
-        InterventionSpec.from_dict(d) for d in doc.get("interventions", [])
+        parse_intervention_block(d, f"interventions[{i}]")
+        for i, d in enumerate(_field(doc, "interventions", list, "config", []))
     )
     if interventions and engine != "gillespie":
         raise ConfigError("interventions are only supported by the gillespie engine")
 
-    output = doc.get("output", {})
-    _check_keys(output, {"trajectory", "summary"}, "output")
+    output = _check_keys(_field(doc, "output", dict, "config", {}), {"trajectory", "summary"}, "output")
 
     return RunConfig(
         network=network,
-        beta=beta,
-        gamma=gamma,
-        alpha=alpha,
+        beta=_field(rates, "beta", float, "rates"),
+        gamma=_field(rates, "gamma", float, "rates"),
+        alpha=_field(rates, "alpha", float, "rates", 0.0),
         initial_infected=initial,
         seed=seed,
-        t_max=t_max,
+        t_max=_positive(_field(doc, "t_max", float, "config"), "t_max"),
         engine=engine,
-        dt=float(doc.get("dt", 0.01)),
+        dt=_positive(_field(doc, "dt", float, "config", 0.01), "dt"),
         interventions=interventions,
-        trajectory_path=output.get("trajectory"),
-        summary_path=output.get("summary"),
+        trajectory_path=_field(output, "trajectory", str, "output", None),
+        summary_path=_field(output, "summary", str, "output", None),
     )
 
 
 def parse_sweep_config(text: str) -> SweepSpec:
-    """Parse a sweep-spec JSON document into a SweepSpec."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc}") from exc
-    _check_keys(
-        doc,
-        {
-            "networks", "betas", "gamma", "alpha", "initial_fraction",
-            "t_max", "replicates", "base_seed", "intervention", "measure_from",
-        },
-        "sweep",
-    )
-    networks = [
-        parse_network_block(b, f"networks[{i}]")
-        for i, b in enumerate(_require(doc, "networks", "sweep"))
-    ]
-    intervention = (
-        InterventionSpec.from_dict(doc["intervention"])
-        if doc.get("intervention")
-        else None
-    )
-    return SweepSpec(
-        networks=networks,
-        betas=[float(b) for b in _require(doc, "betas", "sweep")],
-        gamma=float(doc.get("gamma", 1.0)),
-        alpha=float(doc.get("alpha", 0.0)),
-        initial_fraction=float(doc.get("initial_fraction", 0.01)),
-        t_max=float(doc.get("t_max", 30.0)),
-        replicates=int(doc.get("replicates", 50)),
-        base_seed=int(doc.get("base_seed", 0)),
-        intervention=intervention,
-        measure_from=(
-            float(doc["measure_from"]) if doc.get("measure_from") is not None else None
-        ),
-    )
+    """Parse a sweep-spec JSON document into a SweepSpec.
+
+    Only the keys the document gives are passed on, so SweepSpec's own
+    defaults apply to the rest.
+    """
+    fields = dataclasses.fields(SweepSpec)
+    doc = _load(text, "sweep", {f.name for f in fields})
+    spec: dict = {
+        "networks": [
+            parse_network_block(b, f"networks[{i}]")
+            for i, b in enumerate(_field(doc, "networks", list, "sweep"))
+        ],
+        "betas": [
+            _coerce(b, float, f"sweep.betas[{i}]")
+            for i, b in enumerate(_field(doc, "betas", list, "sweep"))
+        ],
+    }
+    if doc.get("intervention") is not None:
+        spec["intervention"] = parse_intervention_block(doc["intervention"], "sweep.intervention")
+    for f in fields:
+        if f.name not in spec and doc.get(f.name) is not None:
+            # Scalars take their default's type; measure_from (default None) is a time.
+            typ = float if f.default is None else type(f.default)
+            spec[f.name] = _field(doc, f.name, typ, "sweep")
+    if "t_max" in spec:
+        _positive(spec["t_max"], "sweep.t_max")
+    return SweepSpec(**spec)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Optional, Sequence
 
 import numpy as np
@@ -38,8 +38,8 @@ class RateParams:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.beta < 0 or self.gamma < 0 or self.alpha < 0:
-            raise ParameterError(f"rates must be non-negative, got {self}")
+        if not all(0 <= x < math.inf for x in (self.beta, self.gamma, self.alpha)):
+            raise ParameterError(f"rates must be finite and non-negative, got {self}")
 
 
 @dataclass(frozen=True)
@@ -324,7 +324,6 @@ def gillespie_run(
     t_max: float,
     seed: int,
     interventions: Optional[Sequence[InterventionSpec]] = None,
-    record_stride: int = 1,
 ) -> Trajectory:
     """Exact event-driven SIR/SIRS simulation on a network.
 
@@ -346,7 +345,6 @@ def gillespie_run(
     t = 0.0
     times = [0.0]
     ns, ni, nr = [state.n_s], [state.n_i], [state.n_r]
-    events = 0
     while t < t_max:
         rates = compute_event_rates(graph, state, params)
         if rates.total <= 0:
@@ -370,12 +368,10 @@ def gillespie_run(
             state.recover(state.infected.choose(rng))
         else:
             state.wane(state.recovered.choose(rng))
-        events += 1
-        if events % record_stride == 0:
-            times.append(t)
-            ns.append(state.n_s)
-            ni.append(state.n_i)
-            nr.append(state.n_r)
+        times.append(t)
+        ns.append(state.n_s)
+        ni.append(state.n_i)
+        nr.append(state.n_r)
     if times[-1] != t:
         times.append(t)
         ns.append(state.n_s)
@@ -391,7 +387,6 @@ def gillespie_well_mixed(
     initial_infected: int | float,
     t_max: float,
     seed: int,
-    record_stride: int = 1,
 ) -> Trajectory:
     """Gillespie SIR/SIRS on a homogeneously mixing population.
 
@@ -410,7 +405,6 @@ def gillespie_well_mixed(
     t = 0.0
     times = [0.0]
     ss, ii, rr = [n_s], [n_i], [n_r]
-    events = 0
     while t < t_max:
         a_inf = beta_k * n_s * n_i / n
         a_rec = params.gamma * n_i
@@ -433,12 +427,10 @@ def gillespie_well_mixed(
         else:
             n_r -= 1
             n_s += 1
-        events += 1
-        if events % record_stride == 0:
-            times.append(t)
-            ss.append(n_s)
-            ii.append(n_i)
-            rr.append(n_r)
+        times.append(t)
+        ss.append(n_s)
+        ii.append(n_i)
+        rr.append(n_r)
     if times[-1] != t:
         times.append(t)
         ss.append(n_s)

@@ -34,11 +34,23 @@ from .interventions import InterventionSpec
 WORKERS_ENV = "NETEPI_WORKERS"
 
 
+# Fields of each network-source kind, with their types, in the argument
+# order of both the NetworkSource.<kind> constructor and graphs.generate_<kind>.
+NETWORK_FIELDS: dict[str, dict[str, type]] = {
+    "er": {"n": int, "p": float},
+    "ws": {"n": int, "k": int, "p_rewire": float},
+    "ba": {"n": int, "m": int},
+    "edge_list": {"path": str, "compact_ids": bool},
+    "well_mixed": {"n": int, "k_avg": float},
+}
+OPTIONAL_NETWORK_FIELDS = {"compact_ids"}  # the constructor supplies the default
+
+
 @dataclass(frozen=True)
 class NetworkSource:
     """Where a sweep gets its contact structure from."""
 
-    kind: str  # "er" | "ws" | "ba" | "edge_list" | "well_mixed"
+    kind: str  # a key of NETWORK_FIELDS
     label: str
     n: int = 0
     p: float = 0.0
@@ -75,28 +87,21 @@ class NetworkSource:
             "well_mixed", label or f"well_mixed(n={n},k={k_avg})", n=n, k_avg=k_avg
         )
 
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in NETWORK_FIELDS[self.kind]}
+
     def build_graph(self, seed: int) -> Graph:
-        if self.kind == "er":
-            return graphs.generate_er(self.n, self.p, seed)
-        if self.kind == "ws":
-            return graphs.generate_ws(self.n, self.k, self.p_rewire, seed)
-        if self.kind == "ba":
-            return graphs.generate_ba(self.n, self.m, seed)
+        if self.kind == "well_mixed":
+            raise ParameterError(f"{self.kind!r} source has no graph form")
         if self.kind == "edge_list":
             with open(self.path, encoding="utf-8") as fh:
                 return graphs.load_edge_list(fh, compact_ids=self.compact_ids)
-        raise ParameterError(f"{self.kind!r} source has no graph form")
+        # Looked up per call, so a wrapper installed on the module applies.
+        generate = getattr(graphs, f"generate_{self.kind}")
+        return generate(*self._fields().values(), seed)
 
     def to_dict(self) -> dict:
-        if self.kind == "er":
-            return {"er": {"n": self.n, "p": self.p}}
-        if self.kind == "ws":
-            return {"ws": {"n": self.n, "k": self.k, "p_rewire": self.p_rewire}}
-        if self.kind == "ba":
-            return {"ba": {"n": self.n, "m": self.m}}
-        if self.kind == "edge_list":
-            return {"edge_list": {"path": self.path, "compact_ids": self.compact_ids}}
-        return {"well_mixed": {"n": self.n, "k_avg": self.k_avg}}
+        return {self.kind: self._fields()}
 
 
 @dataclass(frozen=True)
@@ -163,7 +168,7 @@ def _csv_cell(x) -> str:
     if x is None:
         return ""
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))  # np.float64 reprs as "np.float64(...)" under numpy 2
     return str(x)
 
 
@@ -223,10 +228,13 @@ def _mean_std(values: Sequence[float]) -> tuple[float, float]:
     return mean, std
 
 
-def run_replicates(spec: SweepSpec, source: NetworkSource, beta: float) -> dict:
-    """Aggregate `spec.replicates` runs at one (network, beta) point."""
+def _tasks(
+    spec: SweepSpec, source: NetworkSource, beta: float, grid: Optional[np.ndarray]
+) -> list[dict]:
+    """One `_one_replicate` task per replicate of a (network, beta) point;
+    with a time grid, each also returns its infected curve on it."""
     params = RateParams(beta, spec.gamma, spec.alpha)
-    tasks = [
+    return [
         {
             "source": source,
             "params": params,
@@ -236,10 +244,15 @@ def run_replicates(spec: SweepSpec, source: NetworkSource, beta: float) -> dict:
             "index": i,
             "interventions": [spec.intervention] if spec.intervention else None,
             "measure_from": spec.measure_from,
+            "grid": grid,
         }
         for i in range(spec.replicates)
     ]
-    results = _run_batch(tasks)
+
+
+def run_replicates(spec: SweepSpec, source: NetworkSource, beta: float) -> dict:
+    """Aggregate `spec.replicates` runs at one (network, beta) point."""
+    results = _run_batch(_tasks(spec, source, beta, None))
     row: dict = {"network": source.label, "beta": beta, "replicates": spec.replicates}
     for key, name in (("scope", "scope"), ("peak", "peak"), ("peak_time", "peak_time")):
         mean, std = _mean_std([r[key] for r in results])
@@ -297,24 +310,18 @@ def experiment_density_comparison(
     for d in densities:
         n = round(k_avg / d) + 1
         m = max(1, round(k_avg / 2.0))
-        pairs = [
-            ("ER", NetworkSource.er(n, k_avg / (n - 1), label="ER")),
-            ("BA", NetworkSource.ba(n, m, label="BA")),
-        ]
         spec = SweepSpec(
-            networks=[src for _, src in pairs], betas=[beta], gamma=gamma,
-            initial_fraction=initial_fraction, t_max=t_max,
+            networks=[
+                NetworkSource.er(n, k_avg / (n - 1), label="ER"),
+                NetworkSource.ba(n, m, label="BA"),
+            ],
+            betas=[beta], gamma=gamma, initial_fraction=initial_fraction, t_max=t_max,
             replicates=replicates, base_seed=base_seed,
         )
-        for model, source in pairs:
+        for source in spec.networks:
             row = run_replicates(spec, source, beta)
-            table.rows.append({
-                "experiment": "exp02", "model": model, "density": d, "n": n,
-                "avg_degree": k_avg,
-                "mean_peak": row["mean_peak"], "std_peak": row["std_peak"],
-                "mean_scope": row["mean_scope"], "std_scope": row["std_scope"],
-                "replicates": replicates,
-            })
+            row.update(experiment="exp02", model=source.label, density=d, n=n, avg_degree=k_avg)
+            table.rows.append(row)
     return table
 
 
@@ -348,7 +355,7 @@ def experiment_intervention_timing(
         "beta": beta, "gamma": gamma, "initial_fraction": initial_fraction,
         "t_max": t_max, "replicates": replicates, "base_seed": base_seed,
     })
-    source = NetworkSource.ba(n, m, label=f"ba(n={n},m={m})")
+    source = NetworkSource.ba(n, m)
     for trigger in trigger_times:
         if not 0 < trigger < t_max:
             raise ParameterError(f"trigger time {trigger} outside (0, {t_max})")
@@ -361,15 +368,8 @@ def experiment_intervention_timing(
             measure_from=window_start,
         )
         row = run_replicates(spec, source, beta)
-        table.rows.append({
-            "experiment": "exp03", "trigger_time": trigger,
-            "window_start": window_start,
-            "mean_windowed_peak": row["mean_windowed_peak"],
-            "std_windowed_peak": row["std_windowed_peak"],
-            "mean_peak": row["mean_peak"], "std_peak": row["std_peak"],
-            "mean_scope": row["mean_scope"], "std_scope": row["std_scope"],
-            "replicates": replicates,
-        })
+        row.update(experiment="exp03", trigger_time=trigger, window_start=window_start)
+        table.rows.append(row)
     return table
 
 
@@ -433,16 +433,12 @@ def experiment_sirs(
     alphas = [alpha] + ([0.0] if include_sir_control else [])
     for source in networks:
         for a in alphas:
-            params = RateParams(beta, gamma, a)
-            tasks = [
-                {
-                    "source": source, "params": params,
-                    "initial_fraction": initial_fraction, "t_max": t_max,
-                    "base_seed": base_seed, "index": i, "grid": grid,
-                }
-                for i in range(replicates)
-            ]
-            results = _run_batch(tasks)
+            spec = SweepSpec(
+                networks=[source], betas=[beta], gamma=gamma, alpha=a,
+                initial_fraction=initial_fraction, t_max=t_max,
+                replicates=replicates, base_seed=base_seed,
+            )
+            results = _run_batch(_tasks(spec, source, beta, grid))
             mean_curve = np.mean([r["i_curve"] for r in results], axis=0)
             waves = count_waves(
                 grid, mean_curve, smooth_window=t_max / 100.0,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Optional
 
 import numpy as np
@@ -69,9 +69,6 @@ class Graph:
     def degree(self, node: int) -> int:
         return len(self.adjacency[node])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
 
 @dataclass(frozen=True)
 class DegreeStats:
@@ -80,8 +77,6 @@ class DegreeStats:
     average_degree: float
     histogram: dict[int, int]
     density: float
-    power_law_exponent: Optional[float] = None
-    scale_free: Optional[bool] = None
 
 
 def generate_er(n: int, p: float, seed: int) -> Graph:
@@ -232,7 +227,7 @@ def density(g: Graph) -> float:
 
 
 def degree_stats(g: Graph) -> DegreeStats:
-    """Average degree, degree histogram and density (no power-law fields)."""
+    """Average degree, degree histogram and density."""
     n = g.node_count
     if n == 0:
         raise UndefinedMetricError("degree statistics undefined on the empty graph")

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError
+from .errors import ParameterError
 from .graphs import Graph, density
 
 
@@ -107,19 +107,6 @@ class InterventionSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "InterventionSpec":
-        allowed = {"t", "action", "cap", "target", "seed"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ConfigError(f"unknown intervention key(s): {sorted(unknown)}")
-        if "t" not in d or "action" not in d:
-            raise ConfigError("intervention needs 't' and 'action'")
-        try:
-            return InterventionSpec(
-                trigger_time=float(d["t"]),
-                action=d["action"],
-                cap=d.get("cap"),
-                target=d.get("target"),
-                seed=int(d.get("seed", 0)),
-            )
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+        from .config import parse_intervention_block  # config imports this module
+
+        return parse_intervention_block(d)

@@ -1,7 +1,17 @@
+import contextlib
+import copy
+import csv
+import io
 import json
+import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from netepi import cli, graphs
 from netepi.cli import EXIT_INPUT, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, dispatch
 
 
@@ -141,6 +151,118 @@ class TestSimulate:
         path.write_text("{\"network\": {}}")
         assert run_cli("simulate", str(path)) == EXIT_INPUT
 
+    def test_graph_and_init_seeds_differ(self, tmp_path, monkeypatch):
+        seeds = {}
+        generate_er, init_state = graphs.generate_er, cli.init_state
+
+        def spy_generate(n, p, seed):
+            seeds["graph"] = seed
+            return generate_er(n, p, seed)
+
+        def spy_init(g, initial, seed):
+            seeds["init"] = seed
+            return init_state(g, initial, seed)
+
+        monkeypatch.setattr(graphs, "generate_er", spy_generate)
+        monkeypatch.setattr(cli, "init_state", spy_init)
+        cfg = self.config(tmp_path)
+        assert run_cli("simulate", str(cfg), "--out-dir", str(tmp_path / "out")) == EXIT_OK
+        assert seeds["graph"] != seeds["init"]
+
+
+VALID_CONFIG = {
+    "network": {"er": {"n": 40, "p": 0.1}},
+    "rates": {"beta": 0.3, "gamma": 1.0, "alpha": 0.1},
+    "init": {"fraction": 0.05, "seed": 3},
+    "t_max": 2.0,
+    "engine": "gillespie",
+    "dt": 0.01,
+    "interventions": [{"t": 1.0, "action": "degree_cap", "cap": 2, "seed": 1}],
+    "output": {"trajectory": "traj.csv", "summary": "summary.json"},
+}
+BAD_VALUES = [None, "x", [], {}, math.nan, math.inf, -math.inf]
+
+
+def _leaf_paths(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaf_paths(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def _with(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@contextlib.contextmanager
+def _in_fresh_dir():
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            yield
+        finally:
+            os.chdir(cwd)
+
+
+def _simulate(doc) -> tuple[int, str]:
+    with _in_fresh_dir():
+        with open("run.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = dispatch(["simulate", "run.json", "--out-dir", "out"])
+    return code, err.getvalue()
+
+
+class TestBadConfigValues:
+    def test_valid_config_runs(self):
+        assert _simulate(VALID_CONFIG) == (EXIT_OK, "")
+
+    @pytest.mark.parametrize("path, value", [
+        (("rates",), 5),
+        (("rates", "beta"), "x"),
+        (("network", "er", "n"), "fifty"),
+        (("rates", "beta"), math.nan),
+        (("t_max",), 0),
+        (("dt",), -0.5),
+        (("interventions", 0, "cap"), "x"),
+        (("init", "seed"), -1),
+    ])
+    def test_fails_at_parse_time(self, path, value):
+        code, err = _simulate(_with(VALID_CONFIG, path, value))
+        assert code == EXIT_INPUT
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        path=st.sampled_from(list(_leaf_paths(VALID_CONFIG))),
+        value=st.sampled_from(BAD_VALUES),
+    )
+    def test_any_bad_leaf_exits_0_or_2(self, path, value):
+        code, err = _simulate(_with(VALID_CONFIG, path, value))
+        assert code in (EXIT_OK, EXIT_INPUT), (path, value, err)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("betas", ["x"]), ("replicates", "many"), ("t_max", math.inf), ("t_max", 0),
+        ("networks", 5),
+    ])
+    def test_bad_sweep_value(self, tmp_path, key, value):
+        doc = {"networks": [{"well_mixed": {"n": 50, "k_avg": 5}}], "betas": [0.1],
+               "replicates": 1, "t_max": 1.0}
+        doc[key] = value
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps(doc))
+        assert run_cli("sweep", str(spec), "--out-dir", str(tmp_path / "out")) == EXIT_INPUT
+
 
 class TestSweepAndExperiments:
     def test_sweep(self, tmp_path):
@@ -163,6 +285,18 @@ class TestSweepAndExperiments:
                        "--out-dir", str(out)) == EXIT_OK
         lines = (out / "exp01_table.csv").read_text().splitlines()
         assert len(lines) == 1 + 4 * 2  # four networks x two betas
+
+    def test_exp01_cells_are_numbers(self, tmp_path):
+        out = tmp_path / "e1"
+        assert run_cli("exp01", "--replicates", "1", "--n", "50", "--beta-steps", "3",
+                       "--network", "er", "--out-dir", str(out)) == EXIT_OK
+        with open(out / "exp01_table.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["beta"] for row in rows] == ["0.0", "0.15", "0.3"]
+        for row in rows:
+            for col, cell in row.items():
+                if col not in ("experiment", "network"):
+                    float(cell)
 
     def test_exp02_smoke(self, tmp_path):
         out = tmp_path / "e2"

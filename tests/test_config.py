@@ -4,6 +4,7 @@ import pytest
 
 from netepi.config import parse_config, parse_network_block, parse_sweep_config
 from netepi.errors import ConfigError
+from netepi.experiments import NetworkSource
 
 MINIMAL = {
     "network": {"er": {"n": 100, "p": 0.1}},
@@ -45,6 +46,27 @@ class TestParseNetworkBlock:
         with pytest.raises(ConfigError) as err:
             parse_network_block({"ws": {"n": 10, "k": 4}})
         assert "p_rewire" in str(err.value)
+
+    @pytest.mark.parametrize("src", [
+        NetworkSource.er(30, 0.2),
+        NetworkSource.ws(30, 4, 0.1),
+        NetworkSource.ba(30, 2),
+        NetworkSource.edge_list("g.txt", compact_ids=True),
+        NetworkSource.well_mixed(30, 5.0),
+    ])
+    def test_round_trip_every_kind(self, src):
+        assert parse_network_block(src.to_dict()) == src
+
+    def test_optional_field_defaults(self):
+        assert parse_network_block({"edge_list": {"path": "g.txt"}}).compact_ids is False
+        assert parse_network_block({"edge_list": {"path": "g.txt", "compact_ids": None}}) == (
+            NetworkSource.edge_list("g.txt")
+        )
+
+    def test_wrong_type_named(self):
+        with pytest.raises(ConfigError) as err:
+            parse_network_block({"er": {"n": "fifty", "p": 0.1}})
+        assert "network.er.n" in str(err.value)
 
 
 class TestParseConfig:

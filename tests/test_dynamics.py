@@ -44,6 +44,12 @@ class TestRateParams:
     def test_alpha_defaults_to_sir(self):
         assert RateParams(0.5, 1.0).alpha == 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        for rates in ((bad, 1.0), (0.1, bad), (0.1, 1.0, bad)):
+            with pytest.raises(ParameterError):
+                RateParams(*rates)
+
 
 class TestInitState:
     def test_single_seed_on_triangle(self):
