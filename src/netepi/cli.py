@@ -129,8 +129,10 @@ def _cmd_generate(args) -> int:
     if args.seed == "auto":
         seed = secrets.randbits(63)
         print(f"seed: {seed}", file=sys.stderr)
-    else:
+    elif args.seed.strip().isdecimal():
         seed = int(args.seed)
+    else:
+        raise ConfigError(f"--seed must be a non-negative integer or 'auto', got {args.seed!r}")
     # Each field of the model is the option of the same name (p_rewire: --p-rewire).
     values = {name: getattr(args, name) for name in NETWORK_FIELDS[args.model]}
     missing = [f"--{name.replace('_', '-')}" for name, v in values.items() if v is None]

@@ -3,7 +3,8 @@
 Three engines share the Trajectory record:
 
 * exact Gillespie simulation of SIR/SIRS on a contact network,
-* the same event loop on a well-mixed population (counts only),
+* the same event loop (`_run_events`) on a well-mixed population
+  (`WellMixedPopulation`, counts only, in place of `CompartmentState`),
 * a discrete-time, synchronous agent-based SIR.
 
 A waning-immunity rate of zero turns SIRS into plain SIR everywhere.
@@ -44,7 +45,7 @@ class RateParams:
 
 @dataclass(frozen=True)
 class EventRates:
-    """Total propensity of each event class in the current state."""
+    """Per-class propensities; with the helpers below, the tests' reference for the loop."""
 
     infection: float
     recovery: float
@@ -171,6 +172,18 @@ class CompartmentState:
         for u in self.graph.adjacency[v]:
             if self.labels[u] == I:
                 self.si_edges.add((v, u))
+
+    def infection_rate(self, beta: float) -> float:
+        return beta * len(self.si_edges)
+
+    def infect_one(self, rng: np.random.Generator) -> None:
+        self.infect(self.si_edges.choose(rng)[0])  # (susceptible, infected)
+
+    def recover_one(self, rng: np.random.Generator) -> None:
+        self.recover(self.infected.choose(rng))
+
+    def wane_one(self, rng: np.random.Generator) -> None:
+        self.wane(self.recovered.choose(rng))
 
     def recount_si_edges(self) -> int:
         """From-scratch S-I edge recount (cache-coherence oracle)."""
@@ -305,16 +318,84 @@ def summarize_trajectory(traj: Trajectory) -> TrajectorySummary:
     )
 
 
-def _finish_trajectory(times, ns, ni, nr, n, engine, seed) -> Trajectory:
-    return Trajectory(
-        times=np.asarray(times, dtype=np.float64),
-        s=np.asarray(ns, dtype=np.int64),
-        i=np.asarray(ni, dtype=np.int64),
-        r=np.asarray(nr, dtype=np.int64),
-        n=n,
-        engine=engine,
-        seed=seed,
-    )
+class WellMixedPopulation:
+    """Compartment counts under homogeneous mixing; no node identities."""
+
+    __slots__ = ("n", "k_avg", "n_s", "n_i", "n_r")
+
+    def __init__(self, n: int, k_avg: float, n_i: int):
+        self.n, self.k_avg = n, k_avg
+        self.n_s, self.n_i, self.n_r = n - n_i, n_i, 0
+
+    def infection_rate(self, beta: float) -> float:
+        return beta * self.k_avg * self.n_s * self.n_i / self.n
+
+    def infect_one(self, rng: np.random.Generator) -> None:
+        self.n_s -= 1
+        self.n_i += 1
+
+    def recover_one(self, rng: np.random.Generator) -> None:
+        self.n_i -= 1
+        self.n_r += 1
+
+    def wane_one(self, rng: np.random.Generator) -> None:
+        self.n_r -= 1
+        self.n_s += 1
+
+
+# (S, I, R) change per event code: infection, recovery, waning, repeated row.
+_CODE_CHANGES = np.array([[-1, 1, 0], [0, -1, 1], [1, 0, -1], [0, 0, 0]], dtype=np.int64)
+
+
+def _run_events(pop: CompartmentState | WellMixedPopulation, params: RateParams, t_max: float,
+                seed: int, pending: list, engine: str) -> Trajectory:
+    """Direct-method Gillespie loop (Gillespie 1977) on one population.
+
+    The arithmetic and the draw order (waiting time, event class, target)
+    are those of `sample_waiting_time` and `select_event`. `pending`
+    interventions, sorted by trigger time, need a network population.
+    """
+    if t_max <= 0:
+        raise ParameterError(f"t_max must be positive, got {t_max}")
+    rng = np.random.default_rng(seed)
+    beta, gamma, alpha = params.beta, params.gamma, params.alpha
+    start = (pop.n_s, pop.n_i, pop.n_r)
+    t = 0.0
+    times = [0.0]
+    codes = bytearray()
+    while t < t_max:
+        a_inf = pop.infection_rate(beta)
+        a_rec = gamma * pop.n_i
+        a_total = a_inf + a_rec + alpha * pop.n_r
+        if a_total <= 0:
+            # Interventions only remove edges, so an absorbed run stays absorbed.
+            break
+        tau = -math.log(1.0 - rng.random()) / a_total
+        if pending and t + tau >= pending[0].trigger_time:
+            spec = pending.pop(0)
+            t = min(spec.trigger_time, t_max)
+            pop.rebind_graph(spec.apply(pop.graph))
+            continue
+        if t + tau > t_max:
+            break
+        t += tau
+        u = rng.random() * a_total
+        if u < a_inf:
+            pop.infect_one(rng)
+            codes.append(0)
+        elif u < a_inf + a_rec:
+            pop.recover_one(rng)
+            codes.append(1)
+        else:
+            pop.wane_one(rng)
+            codes.append(2)
+        times.append(t)
+    if times[-1] != t:
+        times.append(t)
+        codes.append(3)
+    changes = _CODE_CHANGES[np.frombuffer(codes, dtype=np.uint8)]
+    s, i, r = np.cumsum(np.vstack((start, changes)), axis=0).T.copy()
+    return Trajectory(np.asarray(times, dtype=np.float64), s, i, r, pop.n, engine, seed)
 
 
 def gillespie_run(
@@ -331,53 +412,12 @@ def gillespie_run(
     the pending event is discarded (memorylessness keeps this exact), time
     jumps to the trigger, the graph is transformed and caches rebuilt.
     """
-    if t_max <= 0:
-        raise ParameterError(f"t_max must be positive, got {t_max}")
     if init.graph is not g:
         raise StateError("initial state was built for a different graph")
     if init.n_s + init.n_i + init.n_r != g.node_count:
         raise StateError("compartment counts do not sum to the population")
-    state = init.copy()
-    rng = np.random.default_rng(seed)
     pending = sorted(interventions or [], key=lambda iv: iv.trigger_time)
-    graph = g
-
-    t = 0.0
-    times = [0.0]
-    ns, ni, nr = [state.n_s], [state.n_i], [state.n_r]
-    while t < t_max:
-        rates = compute_event_rates(graph, state, params)
-        if rates.total <= 0:
-            # Interventions only remove edges, so an absorbed run stays absorbed.
-            break
-        tau = sample_waiting_time(rates.total, rng)
-        if pending and t + tau >= pending[0].trigger_time:
-            spec = pending.pop(0)
-            t = min(spec.trigger_time, t_max)
-            graph = spec.apply(graph)
-            state.rebind_graph(graph)
-            continue
-        if t + tau > t_max:
-            break
-        t += tau
-        kind = select_event(rates, rng)
-        if kind == INFECTION:
-            target, _source = state.si_edges.choose(rng)
-            state.infect(target)
-        elif kind == RECOVERY:
-            state.recover(state.infected.choose(rng))
-        else:
-            state.wane(state.recovered.choose(rng))
-        times.append(t)
-        ns.append(state.n_s)
-        ni.append(state.n_i)
-        nr.append(state.n_r)
-    if times[-1] != t:
-        times.append(t)
-        ns.append(state.n_s)
-        ni.append(state.n_i)
-        nr.append(state.n_r)
-    return _finish_trajectory(times, ns, ni, nr, g.node_count, "network-gillespie", seed)
+    return _run_events(init.copy(), params, t_max, seed, pending, "network-gillespie")
 
 
 def gillespie_well_mixed(
@@ -395,48 +435,8 @@ def gillespie_well_mixed(
     """
     if n <= 0:
         raise ParameterError(f"population must be positive, got {n}")
-    if t_max <= 0:
-        raise ParameterError(f"t_max must be positive, got {t_max}")
-    n_i = resolve_infected_count(n, initial_infected)
-    n_s, n_r = n - n_i, 0
-    rng = np.random.default_rng(seed)
-    beta_k = params.beta * k_avg
-
-    t = 0.0
-    times = [0.0]
-    ss, ii, rr = [n_s], [n_i], [n_r]
-    while t < t_max:
-        a_inf = beta_k * n_s * n_i / n
-        a_rec = params.gamma * n_i
-        a_wan = params.alpha * n_r
-        a_total = a_inf + a_rec + a_wan
-        if a_total <= 0:
-            break
-        u = 1.0 - rng.random()
-        tau = -math.log(u) / a_total
-        if t + tau > t_max:
-            break
-        t += tau
-        u = rng.random() * a_total
-        if u < a_inf:
-            n_s -= 1
-            n_i += 1
-        elif u < a_inf + a_rec:
-            n_i -= 1
-            n_r += 1
-        else:
-            n_r -= 1
-            n_s += 1
-        times.append(t)
-        ss.append(n_s)
-        ii.append(n_i)
-        rr.append(n_r)
-    if times[-1] != t:
-        times.append(t)
-        ss.append(n_s)
-        ii.append(n_i)
-        rr.append(n_r)
-    return _finish_trajectory(times, ss, ii, rr, n, "well-mixed-gillespie", seed)
+    pop = WellMixedPopulation(n, k_avg, resolve_infected_count(n, initial_infected))
+    return _run_events(pop, params, t_max, seed, [], "well-mixed-gillespie")
 
 
 def abm_run(
@@ -461,11 +461,9 @@ def abm_run(
     labels = np.full(n, S, dtype=np.int8)
     labels[rng.choice(n, size=n_init, replace=False)] = I
 
-    times = [0.0]
-    ss, ii, rr = [int(np.sum(labels == S))], [int(np.sum(labels == I))], [0]
+    rows = [np.bincount(labels, minlength=3)]
     for step in range(1, steps + 1):
-        n_i = int(np.sum(labels == I))
-        p_infect = params.beta * n_i / n
+        p_infect = params.beta * int(rows[-1][I]) / n
         if p_infect > 1.0:
             raise ProbabilityOverflowError(
                 f"beta * I / N = {p_infect} exceeds 1 at step {step}"
@@ -475,8 +473,6 @@ def abm_run(
         draws = rng.random(n)
         labels[susceptible & (draws < p_infect)] = I
         labels[infected & (draws < params.gamma)] = R
-        times.append(float(step))
-        ss.append(int(np.sum(labels == S)))
-        ii.append(int(np.sum(labels == I)))
-        rr.append(int(np.sum(labels == R)))
-    return _finish_trajectory(times, ss, ii, rr, n, "abm", seed)
+        rows.append(np.bincount(labels, minlength=3))
+    s, i, r = np.stack(rows, axis=1).astype(np.int64)
+    return Trajectory(np.arange(steps + 1, dtype=np.float64), s, i, r, n, "abm", seed)

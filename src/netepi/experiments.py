@@ -27,7 +27,7 @@ from .dynamics import (
     init_state,
     summarize_trajectory,
 )
-from .errors import ParameterError
+from .errors import ConfigError, ParameterError
 from .graphs import Graph
 from .interventions import InterventionSpec
 
@@ -215,7 +215,11 @@ def _one_replicate(args: dict) -> dict:
 
 
 def _run_batch(tasks: list[dict]) -> list[dict]:
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
+    raw = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_one_replicate, tasks))
@@ -373,12 +377,16 @@ def experiment_intervention_timing(
     return table
 
 
+WAVE_MIN_HEIGHT = 0.01
+WAVE_MIN_PROMINENCE = 0.005
+
+
 def count_waves(
     times: np.ndarray,
     mean_i_fraction: np.ndarray,
     smooth_window: float,
-    min_height: float = 0.01,
-    min_prominence: float = 0.005,
+    min_height: float = WAVE_MIN_HEIGHT,
+    min_prominence: float = WAVE_MIN_PROMINENCE,
 ) -> int:
     """Local maxima of the smoothed infected-fraction curve.
 
@@ -406,9 +414,6 @@ def experiment_sirs(
     replicates: int = 50,
     base_seed: int = 0,
     grid_points: int = 1000,
-    include_sir_control: bool = True,
-    wave_min_height: float = 0.01,
-    wave_min_prominence: float = 0.005,
 ) -> tuple[ExperimentTable, dict[str, tuple[np.ndarray, np.ndarray]]]:
     """Waning-immunity waves: SIRS runs per network plus an SIR control row.
 
@@ -425,14 +430,13 @@ def experiment_sirs(
         "beta": beta, "gamma": gamma, "alpha": alpha, "t_max": t_max,
         "initial_fraction": initial_fraction, "replicates": replicates,
         "base_seed": base_seed, "grid_points": grid_points,
-        "wave_min_height": wave_min_height,
-        "wave_min_prominence": wave_min_prominence,
+        "wave_min_height": WAVE_MIN_HEIGHT,
+        "wave_min_prominence": WAVE_MIN_PROMINENCE,
     })
     grid = np.linspace(0.0, t_max, grid_points)
     curves: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    alphas = [alpha] + ([0.0] if include_sir_control else [])
     for source in networks:
-        for a in alphas:
+        for a in (alpha, 0.0):
             spec = SweepSpec(
                 networks=[source], betas=[beta], gamma=gamma, alpha=a,
                 initial_fraction=initial_fraction, t_max=t_max,
@@ -440,10 +444,7 @@ def experiment_sirs(
             )
             results = _run_batch(_tasks(spec, source, beta, grid))
             mean_curve = np.mean([r["i_curve"] for r in results], axis=0)
-            waves = count_waves(
-                grid, mean_curve, smooth_window=t_max / 100.0,
-                min_height=wave_min_height, min_prominence=wave_min_prominence,
-            )
+            waves = count_waves(grid, mean_curve, smooth_window=t_max / 100.0)
             label = source.label if a > 0 else f"{source.label}[sir-control]"
             tail = mean_curve[grid >= t_max / 2.0]
             table.rows.append({

@@ -56,6 +56,13 @@ class TestGenerate:
     def test_missing_model_param(self):
         assert run_cli("generate", "--model", "er", "--n", "10") == EXIT_INPUT
 
+    @pytest.mark.parametrize("seed", ["abc", "-5"])
+    def test_bad_seed(self, seed, capsys):
+        assert run_cli("generate", "--model", "er", "--n", "10", "--p", "0.1",
+                       "--seed", seed) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_parameter_value(self):
         assert run_cli("generate", "--model", "er", "--n", "10", "--p", "2.0") == EXIT_RUNTIME
 
@@ -277,6 +284,17 @@ class TestSweepAndExperiments:
         assert run_cli("sweep", str(spec), "--out-dir", str(out)) == EXIT_OK
         assert (out / "sweep_table.csv").exists()
         assert (out / "sweep_manifest.json").exists()
+
+    def test_non_integer_workers(self, tmp_path, monkeypatch, capsys):
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({
+            "networks": [{"well_mixed": {"n": 50, "k_avg": 5}}], "betas": [0.1],
+            "replicates": 1, "t_max": 1.0,
+        }))
+        monkeypatch.setenv("NETEPI_WORKERS", "x")
+        assert run_cli("sweep", str(spec), "--out-dir", str(tmp_path / "out")) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "NETEPI_WORKERS" in err and "Traceback" not in err
 
     def test_exp01_smoke(self, tmp_path):
         out = tmp_path / "e1"

@@ -6,6 +6,7 @@ import pytest
 
 from netepi.dynamics import (
     CompartmentState,
+    EventRates,
     I,
     INFECTION,
     R,
@@ -28,7 +29,7 @@ from netepi.errors import (
     ProbabilityOverflowError,
     StateError,
 )
-from netepi.graphs import Graph, generate_er
+from netepi.graphs import Graph, generate_ba, generate_er
 from netepi.ode import FractionState, ode_sir
 
 
@@ -216,6 +217,72 @@ class TestGillespieRun:
             else:
                 live.wane(live.recovered.choose(rng))
         assert live.si_edge_count == live.recount_si_edges()
+
+
+def _reference_run(rates_of, fire, counts, t_max, seed):
+    """The direct method written with the reference helpers only: one
+    (t, S, I, R) row at the start and after every event."""
+    rng = np.random.default_rng(seed)
+    t, rows = 0.0, [(0.0, *counts())]
+    while t < t_max:
+        rates = rates_of()
+        if rates.total <= 0:
+            break
+        tau = sample_waiting_time(rates.total, rng)
+        if t + tau > t_max:
+            break
+        t += tau
+        fire(select_event(rates, rng), rng)
+        rows.append((t, *counts()))
+    return rows
+
+
+def _rows(traj):
+    return list(zip(traj.times.tolist(), traj.s.tolist(), traj.i.tolist(), traj.r.tolist()))
+
+
+class TestEngineMatchesReference:
+    """The engines reproduce the reference loop bit for bit, so the
+    selection-frequency checks on `select_event` hold for the engines."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    @pytest.mark.parametrize("build", [
+        lambda: generate_er(300, 0.03, seed=1), lambda: generate_ba(300, 3, seed=2),
+    ], ids=["er", "ba"])
+    def test_network(self, build, alpha):
+        g = build()
+        params = RateParams(0.4, 1.0, alpha)
+        moves = {
+            INFECTION: lambda st, rng: st.infect(st.si_edges.choose(rng)[0]),
+            RECOVERY: lambda st, rng: st.recover(st.infected.choose(rng)),
+            WANING: lambda st, rng: st.wane(st.recovered.choose(rng)),
+        }
+        for seed in range(6):
+            init = init_state(g, 0.03, seed=seed)
+            state = init.copy()
+            expected = _reference_run(
+                lambda: compute_event_rates(g, state, params),
+                lambda kind, rng: moves[kind](state, rng),
+                lambda: (state.n_s, state.n_i, state.n_r), 10.0, seed,
+            )
+            assert _rows(gillespie_run(g, params, init, 10.0, seed)) == expected
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_well_mixed(self, alpha):
+        n, k_avg, params = 400, 8.0, RateParams(0.3, 1.0, alpha)
+        changes = {INFECTION: (-1, 1, 0), RECOVERY: (0, -1, 1), WANING: (1, 0, -1)}
+        for seed in range(6):
+            c = [n - 4, 4, 0]
+
+            def fire(kind, rng):
+                c[:] = [x + d for x, d in zip(c, changes[kind])]
+
+            expected = _reference_run(
+                lambda: EventRates(params.beta * k_avg * c[0] * c[1] / n,
+                                   params.gamma * c[1], params.alpha * c[2]),
+                fire, lambda: tuple(c), 10.0, seed,
+            )
+            assert _rows(gillespie_well_mixed(n, k_avg, params, 4, 10.0, seed)) == expected
 
 
 class TestGillespieWellMixed:
