@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import secrets
 import sys
 from pathlib import Path
@@ -220,6 +221,20 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _number_list(args, option: str) -> list[float]:
+    """`--densities` or `--triggers` as finite numbers; densities lie in (0, 1]."""
+    text = getattr(args, option)
+    try:
+        values = [float(cell) for cell in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--{option} must be comma-separated numbers, got {text!r}") from None
+    for x in values:
+        if not math.isfinite(x) or (option == "densities" and not 0 < x <= 1):
+            want = "in (0, 1]" if option == "densities" else "finite"
+            raise ConfigError(f"--{option} values must be {want}, got {x!r}")
+    return values
+
+
 def _exp01_networks(names: Optional[Sequence[str]], n: int) -> list[NetworkSource]:
     k_avg = 10
     builders = {
@@ -247,7 +262,7 @@ def _cmd_exp(args) -> int:
         _write_table(experiment_scope_sweep(spec), out_dir, "exp01")
     elif args.command == "exp02":
         table = experiment_density_comparison(
-            densities=[float(x) for x in args.densities.split(",")],
+            densities=_number_list(args, "densities"),
             k_avg=args.k_avg,
             beta=args.beta,
             t_max=args.t_max or 30.0,
@@ -257,7 +272,7 @@ def _cmd_exp(args) -> int:
         _write_table(table, out_dir, "exp02")
     elif args.command == "exp03":
         table = experiment_intervention_timing(
-            trigger_times=[float(x) for x in args.triggers.split(",")],
+            trigger_times=_number_list(args, "triggers"),
             n=args.n or 3000,
             m=args.m,
             cap=args.cap,

@@ -1,10 +1,13 @@
 """Replicate sweeps reproducing the four study experiments as tidy tables.
 
-Every sweep point runs `replicates` independent simulations with seeds
-base_seed + replicate index; replicate work is embarrassingly parallel
-and seeds are assigned before dispatch, so aggregates do not depend on
-execution order. Set NETEPI_WORKERS > 1 to run replicates in a process
-pool.
+Replicate i of every sweep point (beta, trigger or waning rate) draws its
+seeds from base_seed + i alone, so all points of a network run on the same
+graphs and initial states: common random numbers across points. Sweeps are
+therefore replicate-major: one task per (network, replicate) builds its
+graph and initial state once and runs every point on them, and each
+experiment submits all its tasks as one batch. Seeds are assigned before
+dispatch, so results do not depend on execution order. Set
+NETEPI_WORKERS > 1 to run a batch in a process pool.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import IO, Optional, Sequence
 
 import numpy as np
@@ -178,48 +181,54 @@ def _replicate_seeds(base_seed: int, index: int) -> tuple[int, int, int]:
     return int(g), int(i), int(r)
 
 
-def _one_replicate(args: dict) -> dict:
-    """Single simulation; module-level so a process pool can pickle it."""
-    source: NetworkSource = args["source"]
-    params: RateParams = args["params"]
-    graph_seed, init_seed, run_seed = _replicate_seeds(args["base_seed"], args["index"])
-    if source.kind == "well_mixed":
-        traj = gillespie_well_mixed(
-            source.n, source.k_avg, params, args["initial_fraction"],
-            args["t_max"], run_seed,
-        )
-    else:
-        g = source.build_graph(graph_seed)
-        state = init_state(g, args["initial_fraction"], init_seed)
-        traj = gillespie_run(
-            g, params, state, args["t_max"], run_seed,
-            interventions=args.get("interventions"),
-        )
+def _observe(traj, point: dict) -> dict:
     summary = summarize_trajectory(traj)
     out = {
         "scope": summary.final_recovered_fraction,
         "peak": summary.peak_infected_fraction,
         "peak_time": summary.peak_time,
     }
-    measure_from = args.get("measure_from")
-    if measure_from is not None:
-        mask = traj.times >= measure_from
-        out["windowed_peak"] = (
-            float(np.max(traj.i[mask])) / traj.n if np.any(mask) else 0.0
-        )
-    grid = args.get("grid")
-    if grid is not None:
-        _, i_counts, _ = traj.counts_at(grid)
+    if point["measure_from"] is not None:
+        mask = traj.times >= point["measure_from"]
+        out["windowed_peak"] = float(np.max(traj.i[mask])) / traj.n if np.any(mask) else 0.0
+    if point["grid"] is not None:
+        _, i_counts, _ = traj.counts_at(point["grid"])
         out["i_curve"] = i_counts / traj.n
     return out
 
 
-def _run_batch(tasks: list[dict]) -> list[dict]:
+def _one_replicate(args: dict) -> list[dict]:
+    """One replicate at every point of its source, one result per point.
+
+    The graph and initial state are built once and shared by all points.
+    Module-level so a process pool can pickle it.
+    """
+    source: NetworkSource = args["source"]
+    graph_seed, init_seed, run_seed = _replicate_seeds(args["base_seed"], args["index"])
+    fraction, t_max = args["initial_fraction"], args["t_max"]
+    if source.kind != "well_mixed":
+        g = source.build_graph(graph_seed)
+        state = init_state(g, fraction, init_seed)
+    out = []
+    for point in args["points"]:
+        if source.kind == "well_mixed":
+            traj = gillespie_well_mixed(source.n, source.k_avg, point["params"], fraction,
+                                        t_max, run_seed)
+        else:
+            traj = gillespie_run(g, point["params"], state, t_max, run_seed,
+                                 interventions=point["interventions"])
+        out.append(_observe(traj, point))
+    return out
+
+
+def _run_batch(tasks: list[dict]) -> list[list[dict]]:
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
         workers = int(raw)
+        if workers < 1:
+            raise ValueError
     except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+        raise ConfigError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}") from None
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_one_replicate, tasks))
@@ -232,41 +241,50 @@ def _mean_std(values: Sequence[float]) -> tuple[float, float]:
     return mean, std
 
 
-def _tasks(
-    spec: SweepSpec, source: NetworkSource, beta: float, grid: Optional[np.ndarray]
-) -> list[dict]:
-    """One `_one_replicate` task per replicate of a (network, beta) point;
-    with a time grid, each also returns its infected curve on it."""
-    params = RateParams(beta, spec.gamma, spec.alpha)
-    return [
-        {
-            "source": source,
-            "params": params,
-            "initial_fraction": spec.initial_fraction,
-            "t_max": spec.t_max,
-            "base_seed": spec.base_seed,
-            "index": i,
-            "interventions": [spec.intervention] if spec.intervention else None,
-            "measure_from": spec.measure_from,
-            "grid": grid,
-        }
-        for i in range(spec.replicates)
-    ]
+def _point(spec: SweepSpec, beta: float, grid: Optional[np.ndarray] = None) -> dict:
+    """One sweep point: its rates and intervention, and what to observe;
+    with a time grid, each replicate also returns its infected curve on it."""
+    return {
+        "params": RateParams(beta, spec.gamma, spec.alpha),
+        "interventions": [spec.intervention] if spec.intervention else None,
+        "measure_from": spec.measure_from,
+        "grid": grid,
+    }
+
+
+def _sweep(spec: SweepSpec, plan: Sequence[tuple[NetworkSource, list[dict]]]) -> list[list[dict]]:
+    """Run every (source, points) of `plan` as one batch, one task per replicate.
+
+    `spec` supplies what all points share: replicates, base seed, initial
+    fraction and t_max. Returns each point's results in replicate order,
+    the points in plan order.
+    """
+    plan = [(source, points) for source, points in plan if points]
+    shared = {"base_seed": spec.base_seed, "initial_fraction": spec.initial_fraction,
+              "t_max": spec.t_max}
+    tasks = [{**shared, "source": source, "index": i, "points": points}
+             for source, points in plan for i in range(spec.replicates)]
+    results = iter(_run_batch(tasks))
+    grouped = []
+    for _, points in plan:
+        replicates = [next(results) for _ in range(spec.replicates)]
+        grouped.extend([rep[p] for rep in replicates] for p in range(len(points)))
+    return grouped
+
+
+def _row(spec: SweepSpec, source: NetworkSource, beta: float, results: list[dict]) -> dict:
+    """Aggregate one point's replicate results into a table row."""
+    row: dict = {"network": source.label, "beta": beta, "replicates": spec.replicates}
+    windowed = ("windowed_peak",) if spec.measure_from is not None else ()
+    for key in ("scope", "peak", "peak_time", *windowed):
+        row[f"mean_{key}"], row[f"std_{key}"] = _mean_std([r[key] for r in results])
+    return row
 
 
 def run_replicates(spec: SweepSpec, source: NetworkSource, beta: float) -> dict:
     """Aggregate `spec.replicates` runs at one (network, beta) point."""
-    results = _run_batch(_tasks(spec, source, beta, None))
-    row: dict = {"network": source.label, "beta": beta, "replicates": spec.replicates}
-    for key, name in (("scope", "scope"), ("peak", "peak"), ("peak_time", "peak_time")):
-        mean, std = _mean_std([r[key] for r in results])
-        row[f"mean_{name}"] = mean
-        row[f"std_{name}"] = std
-    if spec.measure_from is not None:
-        mean, std = _mean_std([r["windowed_peak"] for r in results])
-        row["mean_windowed_peak"] = mean
-        row["std_windowed_peak"] = std
-    return row
+    (results,) = _sweep(spec, [(source, [_point(spec, beta)])])
+    return _row(spec, source, beta, results)
 
 
 SCOPE_COLUMNS = [
@@ -279,9 +297,11 @@ SCOPE_COLUMNS = [
 def experiment_scope_sweep(spec: SweepSpec, experiment_id: str = "exp01") -> ExperimentTable:
     """Final-epidemic-scope sweep over the infection-rate grid (threshold scan)."""
     table = ExperimentTable(experiment_id, SCOPE_COLUMNS, manifest={"spec": spec.to_dict()})
+    plan = [(source, [_point(spec, beta) for beta in spec.betas]) for source in spec.networks]
+    results = iter(_sweep(spec, plan))
     for source in spec.networks:
         for beta in spec.betas:
-            row = run_replicates(spec, source, beta)
+            row = _row(spec, source, beta, next(results))
             row.update(experiment=experiment_id, gamma=spec.gamma, alpha=spec.alpha)
             table.rows.append(row)
     return table
@@ -311,21 +331,22 @@ def experiment_density_comparison(
         "initial_fraction": initial_fraction, "t_max": t_max,
         "replicates": replicates, "base_seed": base_seed,
     })
-    for d in densities:
-        n = round(k_avg / d) + 1
-        m = max(1, round(k_avg / 2.0))
-        spec = SweepSpec(
-            networks=[
-                NetworkSource.er(n, k_avg / (n - 1), label="ER"),
-                NetworkSource.ba(n, m, label="BA"),
-            ],
-            betas=[beta], gamma=gamma, initial_fraction=initial_fraction, t_max=t_max,
-            replicates=replicates, base_seed=base_seed,
-        )
-        for source in spec.networks:
-            row = run_replicates(spec, source, beta)
-            row.update(experiment="exp02", model=source.label, density=d, n=n, avg_degree=k_avg)
-            table.rows.append(row)
+    m = max(1, round(k_avg / 2.0))
+    networks = []  # ER then BA at each density
+    for n in (round(k_avg / d) + 1 for d in densities):
+        networks += [NetworkSource.er(n, k_avg / (n - 1), label="ER"),
+                     NetworkSource.ba(n, m, label="BA")]
+    spec = SweepSpec(
+        networks=networks, betas=[beta], gamma=gamma, initial_fraction=initial_fraction,
+        t_max=t_max, replicates=replicates, base_seed=base_seed,
+    )
+    point = _point(spec, beta)
+    results = _sweep(spec, [(source, [point]) for source in networks])
+    for i, (source, res) in enumerate(zip(networks, results)):
+        row = _row(spec, source, beta, res)
+        row.update(experiment="exp02", model=source.label, density=densities[i // 2],
+                   n=source.n, avg_degree=k_avg)
+        table.rows.append(row)
     return table
 
 
@@ -359,20 +380,22 @@ def experiment_intervention_timing(
         "beta": beta, "gamma": gamma, "initial_fraction": initial_fraction,
         "t_max": t_max, "replicates": replicates, "base_seed": base_seed,
     })
-    source = NetworkSource.ba(n, m)
     for trigger in trigger_times:
         if not 0 < trigger < t_max:
             raise ParameterError(f"trigger time {trigger} outside (0, {t_max})")
-        window_start = trigger + 0.33 * (t_max - trigger)
-        spec = SweepSpec(
-            networks=[source], betas=[beta], gamma=gamma,
-            initial_fraction=initial_fraction, t_max=t_max,
-            replicates=replicates, base_seed=base_seed,
-            intervention=InterventionSpec(trigger, "degree_cap", cap=cap, seed=base_seed),
-            measure_from=window_start,
-        )
-        row = run_replicates(spec, source, beta)
-        row.update(experiment="exp03", trigger_time=trigger, window_start=window_start)
+    source = NetworkSource.ba(n, m)
+    base = SweepSpec(
+        networks=[source], betas=[beta], gamma=gamma, initial_fraction=initial_fraction,
+        t_max=t_max, replicates=replicates, base_seed=base_seed,
+    )
+    # Every trigger applies the same cap with the same seed, so each
+    # replicate's capped graph is computed once (InterventionSpec.apply).
+    specs = [replace(base, intervention=InterventionSpec(t, "degree_cap", cap=cap, seed=base_seed),
+                     measure_from=t + 0.33 * (t_max - t)) for t in trigger_times]
+    results = _sweep(base, [(source, [_point(spec, beta) for spec in specs])])
+    for trigger, spec, res in zip(trigger_times, specs, results):
+        row = _row(spec, source, beta, res)
+        row.update(experiment="exp03", trigger_time=trigger, window_start=spec.measure_from)
         table.rows.append(row)
     return table
 
@@ -434,16 +457,15 @@ def experiment_sirs(
         "wave_min_prominence": WAVE_MIN_PROMINENCE,
     })
     grid = np.linspace(0.0, t_max, grid_points)
+    spec = SweepSpec(networks=networks, betas=[beta], gamma=gamma,
+                     initial_fraction=initial_fraction, t_max=t_max, replicates=replicates,
+                     base_seed=base_seed)
+    points = [_point(replace(spec, alpha=a), beta, grid) for a in (alpha, 0.0)]
+    results = iter(_sweep(spec, [(source, points) for source in networks]))
     curves: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for source in networks:
         for a in (alpha, 0.0):
-            spec = SweepSpec(
-                networks=[source], betas=[beta], gamma=gamma, alpha=a,
-                initial_fraction=initial_fraction, t_max=t_max,
-                replicates=replicates, base_seed=base_seed,
-            )
-            results = _run_batch(_tasks(spec, source, beta, grid))
-            mean_curve = np.mean([r["i_curve"] for r in results], axis=0)
+            mean_curve = np.mean([r["i_curve"] for r in next(results)], axis=0)
             waves = count_waves(grid, mean_curve, smooth_window=t_max / 100.0)
             label = source.label if a > 0 else f"{source.label}[sir-control]"
             tail = mean_curve[grid >= t_max / 2.0]

@@ -6,6 +6,7 @@ and never add edges or nodes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -65,6 +66,16 @@ def thin_to_density(g: Graph, target: float, seed: int) -> Graph:
     return Graph.from_edges(n, (edges[i] for i in kept_idx))
 
 
+@functools.lru_cache(maxsize=1)
+def _transform(g: Graph, action: str, cap: Optional[int], target: Optional[float],
+               seed: int) -> Graph:
+    # Both transformations are pure functions of their arguments, and Graph
+    # hashes by value, so the last result can be handed out again.
+    if action == "degree_cap":
+        return apply_degree_cap(g, cap, seed)
+    return thin_to_density(g, target, seed)
+
+
 @dataclass(frozen=True)
 class InterventionSpec:
     """A scheduled contact-reduction measure.
@@ -91,9 +102,9 @@ class InterventionSpec:
             raise ParameterError(f"unknown intervention action {self.action!r}")
 
     def apply(self, g: Graph) -> Graph:
-        if self.action == "degree_cap":
-            return apply_degree_cap(g, self.cap, self.seed)
-        return thin_to_density(g, self.target, self.seed)
+        """The transformed graph; specs that differ only in trigger time
+        share it, so a sweep over triggers transforms each graph once."""
+        return _transform(g, self.action, self.cap, self.target, self.seed)
 
     def to_dict(self) -> dict:
         out: dict = {"t": self.trigger_time, "action": self.action}

@@ -296,6 +296,38 @@ class TestSweepAndExperiments:
         err = capsys.readouterr().err
         assert "NETEPI_WORKERS" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_workers_below_one(self, tmp_path, monkeypatch, capsys, value):
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({
+            "networks": [{"well_mixed": {"n": 50, "k_avg": 5}}], "betas": [0.1],
+            "replicates": 1, "t_max": 1.0,
+        }))
+        monkeypatch.setenv("NETEPI_WORKERS", value)
+        assert run_cli("sweep", str(spec), "--out-dir", str(tmp_path / "out")) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "NETEPI_WORKERS" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["exp02", "--densities", "x"], EXIT_INPUT),
+        (["exp02", "--densities", "0.01,"], EXIT_INPUT),
+        (["exp02", "--densities", "0"], EXIT_INPUT),
+        (["exp02", "--densities", "-0.5"], EXIT_INPUT),
+        (["exp02", "--densities", "1.5"], EXIT_INPUT),
+        (["exp02", "--densities", "nan"], EXIT_INPUT),
+        (["exp03", "--triggers", "abc"], EXIT_INPUT),
+        (["exp03", "--triggers", "nan"], EXIT_INPUT),
+        (["exp03", "--triggers", "1,inf"], EXIT_INPUT),
+        (["exp03", "--triggers", "20"], EXIT_RUNTIME),  # finite but past t_max
+    ], ids=lambda v: " ".join(v[1:]) if isinstance(v, list) else f"exit{v}")
+    def test_bad_grid_values(self, tmp_path, capsys, argv, code):
+        argv = argv + ["--n", "60", "--replicates", "1", "--out-dir", str(tmp_path / "out")]
+        if argv[0] == "exp03":
+            argv.extend(["--m", "2"])
+        assert run_cli(*argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_exp01_smoke(self, tmp_path):
         out = tmp_path / "e1"
         assert run_cli("exp01", "--n", "100", "--replicates", "2",

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from netepi import graphs, interventions
 from netepi.errors import ParameterError
 from netepi.experiments import (
     ExperimentTable,
@@ -140,6 +141,55 @@ class TestInterventionTiming:
     def test_trigger_outside_horizon_rejected(self):
         with pytest.raises(ParameterError):
             experiment_intervention_timing([12.0], n=100, m=3, replicates=1, t_max=10.0)
+
+
+class TestReplicateMajor:
+    """Each replicate's graph (and its lockdown) is built once per experiment."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+        return calls
+
+    def test_one_build_and_one_cap_per_replicate(self, monkeypatch):
+        monkeypatch.delenv("NETEPI_WORKERS", raising=False)  # spies see this process only
+        builds = self._count_calls(monkeypatch, graphs, "generate_ba")
+        caps = self._count_calls(monkeypatch, interventions, "apply_degree_cap")
+        table = experiment_intervention_timing(
+            [0.5, 1.0, 1.5], n=150, m=4, cap=2, beta=0.3, initial_fraction=0.05,
+            replicates=2, t_max=4.0, base_seed=11,
+        )
+        assert len(table.rows) == 3
+        assert len(builds) == 2
+        assert len(caps) == 2
+
+    def test_every_trigger_checked_before_any_run(self, monkeypatch):
+        builds = self._count_calls(monkeypatch, graphs, "generate_ba")
+        with pytest.raises(ParameterError):
+            experiment_intervention_timing([1.0, 12.0], n=100, m=3, replicates=1, t_max=10.0)
+        assert builds == []
+
+    def test_sweep_rows_equal_single_point_rows(self):
+        spec = SweepSpec(
+            networks=[NetworkSource.er(120, 0.05, label="ER"),
+                      NetworkSource.ba(120, 3, label="BA")],
+            betas=[0.1, 0.3, 0.6], replicates=3, base_seed=5, t_max=6.0,
+        )
+        table = experiment_scope_sweep(spec)
+        assert len(table.rows) == 6
+        rows = iter(table.rows)
+        for source in spec.networks:
+            for beta in spec.betas:
+                expected = run_replicates(spec, source, beta)
+                expected.update(experiment="exp01", gamma=spec.gamma, alpha=spec.alpha)
+                assert next(rows) == expected
 
 
 class TestCountWaves:

@@ -207,6 +207,22 @@ class TestMetrics:
         g = generate_ba(500, 2, seed=8)
         assert sum(degree_stats(g).histogram.values()) == 500
 
+    @pytest.mark.parametrize("build", [
+        lambda: generate_er(400, 0.03, seed=4),
+        lambda: generate_ws(400, 8, 0.2, seed=5),
+        lambda: generate_ba(400, 3, seed=6),
+    ], ids=["er", "ws", "ba"])
+    def test_degree_stats_and_density_match_networkx(self, build):
+        nx = pytest.importorskip("networkx")
+        g = build()
+        ng = nx.Graph()
+        ng.add_nodes_from(range(g.node_count))
+        ng.add_edges_from(g.edges())
+        stats = degree_stats(g)
+        assert stats.average_degree == sum(d for _, d in ng.degree()) / ng.number_of_nodes()
+        assert stats.histogram == {k: c for k, c in enumerate(nx.degree_histogram(ng)) if c}
+        assert stats.density == density(g) == nx.density(ng)
+
     def test_metrics_report_keys(self):
         report = metrics_report(generate_ba(1000, 5, seed=1))
         assert set(report) == {
