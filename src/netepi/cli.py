@@ -46,14 +46,30 @@ EXIT_INPUT = 2
 EXIT_RUNTIME = 3
 
 
-class _UsageExit(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        err = sys.exc_info()[1]  # the ArgumentError being handled, if any
+        bad_value = isinstance(getattr(err, "__context__", None), ConfigError)
+        if bad_value:  # raised by an option type below: bad input, not bad usage
+            message = f"argument {err.argument_name}: {err.__context__}"
         print(f"error: {message}", file=sys.stderr)
-        raise _UsageExit()
+        raise SystemExit(EXIT_INPUT if bad_value else EXIT_USAGE)
+
+
+def _at_least(low: float, kind: type = float, strict: bool = False):
+    """Option type: a finite `kind` number >= low (> low if strict)."""
+
+    def parse(text: str):
+        try:
+            x = kind(text)
+        except ValueError:
+            x = math.nan
+        if not (math.isfinite(x) and (x > low if strict else x >= low)):
+            noun = "an integer" if kind is int else "a finite number"
+            raise ConfigError(f"must be {noun} {'>' if strict else '>='} {low}, got {text!r}")
+        return x
+
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -85,37 +101,38 @@ def _build_parser() -> _Parser:
     swp.add_argument("config", help="sweep-spec JSON path")
     swp.add_argument("--out-dir", default=".")
 
-    for exp_id, helptext in (
-        ("exp01", "epidemic-scope threshold sweep"),
-        ("exp02", "ER vs BA density comparison"),
-        ("exp03", "degree-cap lockdown timing"),
-        ("exp04", "waning-immunity waves"),
+    rate, positive, count = _at_least(0.0), _at_least(0.0, strict=True), _at_least(1, int)
+    for exp_id, helptext, n, t_max in (
+        ("exp01", "epidemic-scope threshold sweep", 1000, 30.0),
+        ("exp02", "ER vs BA density comparison", None, 30.0),  # n follows the density
+        ("exp03", "degree-cap lockdown timing", 3000, 10.0),
+        ("exp04", "waning-immunity waves", 1000, 100.0),
     ):
         p = sub.add_parser(exp_id, help=helptext)
         p.add_argument("--out-dir", default=".")
-        p.add_argument("--replicates", type=int, default=50)
-        p.add_argument("--base-seed", type=int, default=0)
-        p.add_argument("--n", type=int)
-        p.add_argument("--t-max", type=float)
+        p.add_argument("--replicates", type=count, default=50)
+        p.add_argument("--base-seed", type=_at_least(0, int), default=0)
+        p.add_argument("--n", type=_at_least(2, int), default=n)
+        p.add_argument("--t-max", type=positive, default=t_max)
         if exp_id == "exp01":
             p.add_argument(
                 "--network", action="append", choices=("er", "ws", "ba", "well_mixed"),
                 help="repeatable; default: all four",
             )
-            p.add_argument("--beta-max", type=float, default=0.3)
-            p.add_argument("--beta-steps", type=int, default=13)
+            p.add_argument("--beta-max", type=rate, default=0.3)
+            p.add_argument("--beta-steps", type=count, default=13)
         elif exp_id == "exp02":
             p.add_argument("--densities", default="0.001,0.002,0.003,0.005,0.0075,0.01")
-            p.add_argument("--k-avg", type=float, default=10.0)
-            p.add_argument("--beta", type=float, default=0.1)
+            p.add_argument("--k-avg", type=positive, default=10.0)
+            p.add_argument("--beta", type=rate, default=0.1)
         elif exp_id == "exp03":
             p.add_argument("--triggers", default="0.25,0.5,0.75,1,1.25,1.5")
-            p.add_argument("--m", type=int, default=20)
-            p.add_argument("--cap", type=int, default=5)
-            p.add_argument("--beta", type=float, default=0.1)
+            p.add_argument("--m", type=count, default=20)
+            p.add_argument("--cap", type=_at_least(0, int), default=5)
+            p.add_argument("--beta", type=rate, default=0.1)
         else:
-            p.add_argument("--beta", type=float, default=0.3)
-            p.add_argument("--alpha", type=float, default=0.2)
+            p.add_argument("--beta", type=rate, default=0.3)
+            p.add_argument("--alpha", type=rate, default=0.2)
     return parser
 
 
@@ -249,13 +266,12 @@ def _exp01_networks(names: Optional[Sequence[str]], n: int) -> list[NetworkSourc
 def _cmd_exp(args) -> int:
     out_dir = Path(args.out_dir)
     if args.command == "exp01":
-        n = args.n or 1000
         spec = SweepSpec(
-            networks=_exp01_networks(args.network, n),
+            networks=_exp01_networks(args.network, args.n),
             betas=[round(b, 10) for b in np.linspace(0.0, args.beta_max, args.beta_steps)],
             gamma=1.0,
             initial_fraction=0.01,
-            t_max=args.t_max or 30.0,
+            t_max=args.t_max,
             replicates=args.replicates,
             base_seed=args.base_seed,
         )
@@ -265,7 +281,7 @@ def _cmd_exp(args) -> int:
             densities=_number_list(args, "densities"),
             k_avg=args.k_avg,
             beta=args.beta,
-            t_max=args.t_max or 30.0,
+            t_max=args.t_max,
             replicates=args.replicates,
             base_seed=args.base_seed,
         )
@@ -273,26 +289,25 @@ def _cmd_exp(args) -> int:
     elif args.command == "exp03":
         table = experiment_intervention_timing(
             trigger_times=_number_list(args, "triggers"),
-            n=args.n or 3000,
+            n=args.n,
             m=args.m,
             cap=args.cap,
             beta=args.beta,
-            t_max=args.t_max or 10.0,
+            t_max=args.t_max,
             replicates=args.replicates,
             base_seed=args.base_seed,
         )
         _write_table(table, out_dir, "exp03")
     else:
-        n = args.n or 1000
         networks = [
-            NetworkSource.er(n, 10 / (n - 1), label="ER"),
-            NetworkSource.ba(n, 5, label="BA"),
+            NetworkSource.er(args.n, 10 / (args.n - 1), label="ER"),
+            NetworkSource.ba(args.n, 5, label="BA"),
         ]
         table, curves = experiment_sirs(
             networks,
             beta=args.beta,
             alpha=args.alpha,
-            t_max=args.t_max or 100.0,
+            t_max=args.t_max,
             replicates=args.replicates,
             base_seed=args.base_seed,
         )
@@ -311,9 +326,7 @@ def dispatch(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageExit:
-        return EXIT_USAGE
-    except SystemExit as exc:  # --version / --help
+    except SystemExit as exc:  # a parse error (exit 1 or 2), --version or --help
         return int(exc.code or 0)
     try:
         if args.command == "generate":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Optional, Sequence
 
 import numpy as np
@@ -89,8 +90,10 @@ class _IndexedSet:
 class CompartmentState:
     """Per-node compartment labels plus the caches the event loop needs.
 
-    Caches: the live S-I edge set (infection propensity and target choice)
-    and the infected / recovered node sets (recovery and waning targets).
+    Labels live in one bytearray (`labels` is an int8 view of it). Caches:
+    the live S-I edge set (infection propensity and target choice) and the
+    infected / recovered node sets (recovery and waning targets). The moves
+    edit the S-I edge set's list and index in place, in neighbour order.
     """
 
     def __init__(self, graph: Graph, labels: np.ndarray):
@@ -99,7 +102,7 @@ class CompartmentState:
                 f"labels shape {labels.shape} does not match {graph.node_count} nodes"
             )
         self.graph = graph
-        self.labels = labels.astype(np.int8)
+        self._lab = bytearray(labels.astype(np.int8).tobytes())
         counts = np.bincount(self.labels, minlength=3)
         self.n_s, self.n_i, self.n_r = (int(c) for c in counts[:3])
         self._rebuild_caches()
@@ -108,15 +111,19 @@ class CompartmentState:
         self.si_edges = _IndexedSet()
         self.infected = _IndexedSet()
         self.recovered = _IndexedSet()
-        labels = self.labels
+        lab = self._lab
         for v in range(self.graph.node_count):
-            if labels[v] == I:
+            if lab[v] == I:
                 self.infected.add(v)
                 for u in self.graph.adjacency[v]:
-                    if labels[u] == S:
+                    if lab[u] == S:
                         self.si_edges.add((u, v))  # (susceptible, infected)
-            elif labels[v] == R:
+            elif lab[v] == R:
                 self.recovered.add(v)
+
+    @property
+    def labels(self) -> np.ndarray:
+        return np.frombuffer(self._lab, dtype=np.int8)
 
     @property
     def n(self) -> int:
@@ -137,44 +144,55 @@ class CompartmentState:
         self._rebuild_caches()
 
     def infect(self, v: int) -> None:
-        if self.labels[v] != S:
+        lab, items, pos = self._lab, self.si_edges.items, self.si_edges.pos
+        if lab[v] != S:
             raise StateError(f"node {v} is not susceptible")
-        self.labels[v] = I
+        lab[v] = I
         self.n_s -= 1
         self.n_i += 1
         self.infected.add(v)
         for u in self.graph.adjacency[v]:
-            lab = self.labels[u]
-            if lab == I:
-                self.si_edges.remove((v, u))
-            elif lab == S:
-                self.si_edges.add((u, v))
+            x = lab[u]
+            if x == I:
+                k, last = pos.pop((v, u)), items.pop()
+                if k < len(items):
+                    items[k], pos[last] = last, k
+            elif x == S:
+                edge = (u, v)
+                pos[edge] = len(items)
+                items.append(edge)
 
     def recover(self, v: int) -> None:
-        if self.labels[v] != I:
+        lab, items, pos = self._lab, self.si_edges.items, self.si_edges.pos
+        if lab[v] != I:
             raise StateError(f"node {v} is not infected")
-        self.labels[v] = R
+        lab[v] = R
         self.n_i -= 1
         self.n_r += 1
         self.infected.remove(v)
         self.recovered.add(v)
         for u in self.graph.adjacency[v]:
-            if self.labels[u] == S:
-                self.si_edges.remove((u, v))
+            if lab[u] == S:
+                k, last = pos.pop((u, v)), items.pop()
+                if k < len(items):
+                    items[k], pos[last] = last, k
 
     def wane(self, v: int) -> None:
-        if self.labels[v] != R:
+        lab, items, pos = self._lab, self.si_edges.items, self.si_edges.pos
+        if lab[v] != R:
             raise StateError(f"node {v} is not recovered")
-        self.labels[v] = S
+        lab[v] = S
         self.n_r -= 1
         self.n_s += 1
         self.recovered.remove(v)
         for u in self.graph.adjacency[v]:
-            if self.labels[u] == I:
-                self.si_edges.add((v, u))
+            if lab[u] == I:
+                edge = (v, u)
+                pos[edge] = len(items)
+                items.append(edge)
 
     def infection_rate(self, beta: float) -> float:
-        return beta * len(self.si_edges)
+        return beta * len(self.si_edges.items)
 
     def infect_one(self, rng: np.random.Generator) -> None:
         self.infect(self.si_edges.choose(rng)[0])  # (susceptible, infected)
@@ -187,9 +205,9 @@ class CompartmentState:
 
     def recount_si_edges(self) -> int:
         """From-scratch S-I edge recount (cache-coherence oracle)."""
-        count = 0
+        count, labels = 0, self.labels
         for u, v in ((u, v) for u in range(self.n) for v in self.graph.adjacency[u] if u < v):
-            if {self.labels[u], self.labels[v]} == {S, I}:
+            if {labels[u], labels[v]} == {S, I}:
                 count += 1
         return count
 
@@ -354,10 +372,14 @@ def _run_events(pop: CompartmentState | WellMixedPopulation, params: RateParams,
     The arithmetic and the draw order (waiting time, event class, target)
     are those of `sample_waiting_time` and `select_event`. `pending`
     interventions, sorted by trigger time, need a network population.
+    A well-mixed population draws its uniforms in blocks (the same doubles);
+    a network one cannot, as `_IndexedSet.choose` draws from `rng` too.
     """
     if t_max <= 0:
         raise ParameterError(f"t_max must be positive, got {t_max}")
     rng = np.random.default_rng(seed)
+    draw = (chain.from_iterable(iter(lambda: rng.random(8192).tolist(), None)).__next__
+            if isinstance(pop, WellMixedPopulation) else rng.random)
     beta, gamma, alpha = params.beta, params.gamma, params.alpha
     start = (pop.n_s, pop.n_i, pop.n_r)
     t = 0.0
@@ -370,7 +392,7 @@ def _run_events(pop: CompartmentState | WellMixedPopulation, params: RateParams,
         if a_total <= 0:
             # Interventions only remove edges, so an absorbed run stays absorbed.
             break
-        tau = -math.log(1.0 - rng.random()) / a_total
+        tau = -math.log(1.0 - draw()) / a_total
         if pending and t + tau >= pending[0].trigger_time:
             spec = pending.pop(0)
             t = min(spec.trigger_time, t_max)
@@ -379,7 +401,7 @@ def _run_events(pop: CompartmentState | WellMixedPopulation, params: RateParams,
         if t + tau > t_max:
             break
         t += tau
-        u = rng.random() * a_total
+        u = draw() * a_total
         if u < a_inf:
             pop.infect_one(rng)
             codes.append(0)

@@ -333,7 +333,10 @@ def experiment_density_comparison(
     })
     m = max(1, round(k_avg / 2.0))
     networks = []  # ER then BA at each density
-    for n in (round(k_avg / d) + 1 for d in densities):
+    for d in densities:
+        n = round(k_avg / d) + 1
+        if n < 2:
+            raise ParameterError(f"<k> = {k_avg} at density {d} leaves fewer than 2 nodes")
         networks += [NetworkSource.er(n, k_avg / (n - 1), label="ER"),
                      NetworkSource.ba(n, m, label="BA")]
     spec = SweepSpec(

@@ -328,6 +328,34 @@ class TestSweepAndExperiments:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["exp01", "--beta-max", "nan"],
+        ["exp04", "--alpha", "nan"],
+        ["exp03", "--t-max", "nan"],
+        ["exp01", "--replicates", "0"],
+        ["exp01", "--beta-steps", "0"],
+        ["exp01", "--n", "0"],
+        ["exp04", "--t-max", "0"],
+        ["exp02", "--k-avg", "0", "--replicates", "1"],
+        ["exp01", "--n", "1", "--network", "er", "--replicates", "1"],
+        ["exp04", "--n", "1", "--replicates", "1"],
+        ["exp04", "--base-seed", "-1"],
+        ["exp03", "--m", "x"],
+    ], ids=" ".join)
+    def test_bad_exp_numbers(self, tmp_path, capsys, argv):
+        # Rejected by the option's type while parsing: nothing runs.
+        assert run_cli(*argv, "--out-dir", str(tmp_path / "out")) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_density_too_low_for_two_nodes(self, tmp_path, capsys):
+        # <k> / d + 1 rounds to one node at d = 0.002: a range error, not a traceback.
+        assert run_cli("exp02", "--k-avg", "0.001", "--replicates", "1",
+                       "--out-dir", str(tmp_path / "out")) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_exp01_smoke(self, tmp_path):
         out = tmp_path / "e1"
         assert run_cli("exp01", "--n", "100", "--replicates", "2",

@@ -1,5 +1,6 @@
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -105,6 +106,40 @@ class TestEventRates:
             if len(state.infected):
                 state.recover(state.infected.choose(rng))
             assert state.si_edge_count == state.recount_si_edges()
+
+
+class TestLabels:
+    """`labels` is a view of the state's one label store."""
+
+    def test_labels_track_moves_and_copies_do_not_alias(self):
+        g = generate_ba(200, 4, seed=3)
+        state = init_state(g, 10, seed=4)
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            if state.si_edge_count:
+                state.infect(state.si_edges.choose(rng)[0])
+            if len(state.infected) > 1:
+                state.recover(state.infected.choose(rng))
+        if len(state.recovered):
+            state.wane(state.recovered.choose(rng))
+        labels = state.labels
+        assert labels.dtype == np.int8 and labels.shape == (200,)
+        assert set(np.flatnonzero(labels == I).tolist()) == set(state.infected.items)
+        assert set(np.flatnonzero(labels == R).tolist()) == set(state.recovered.items)
+        assert np.bincount(labels, minlength=3).tolist() == [state.n_s, state.n_i, state.n_r]
+
+        before = labels.copy()
+        twin = state.copy()
+        twin.recover(twin.infected.items[0])
+        twin.infect(twin.si_edges.items[0][0])
+        assert np.array_equal(state.labels, before)
+        assert not np.array_equal(twin.labels, before)
+        assert state.si_edge_count == state.recount_si_edges()
+
+        restored = pickle.loads(pickle.dumps(state))
+        assert np.array_equal(restored.labels, before)
+        restored.infect(restored.si_edges.items[0][0])
+        assert np.array_equal(state.labels, before)
 
 
 class TestSampleWaitingTime:
@@ -241,6 +276,30 @@ def _rows(traj):
     return list(zip(traj.times.tolist(), traj.s.tolist(), traj.i.tolist(), traj.r.tolist()))
 
 
+def _network_reference(g, params, init, t_max, seed):
+    state = init.copy()
+    moves = {
+        INFECTION: lambda rng: state.infect(state.si_edges.choose(rng)[0]),
+        RECOVERY: lambda rng: state.recover(state.infected.choose(rng)),
+        WANING: lambda rng: state.wane(state.recovered.choose(rng)),
+    }
+    return _reference_run(lambda: compute_event_rates(g, state, params),
+                          lambda kind, rng: moves[kind](rng),
+                          lambda: (state.n_s, state.n_i, state.n_r), t_max, seed)
+
+
+def _well_mixed_reference(n, k_avg, params, n_i, t_max, seed):
+    changes = {INFECTION: (-1, 1, 0), RECOVERY: (0, -1, 1), WANING: (1, 0, -1)}
+    c = [n - n_i, n_i, 0]
+
+    def fire(kind, rng):
+        c[:] = [x + d for x, d in zip(c, changes[kind])]
+
+    return _reference_run(lambda: EventRates(params.beta * k_avg * c[0] * c[1] / n,
+                                             params.gamma * c[1], params.alpha * c[2]),
+                          fire, lambda: tuple(c), t_max, seed)
+
+
 class TestEngineMatchesReference:
     """The engines reproduce the reference loop bit for bit, so the
     selection-frequency checks on `select_event` hold for the engines."""
@@ -283,6 +342,25 @@ class TestEngineMatchesReference:
                 fire, lambda: tuple(c), 10.0, seed,
             )
             assert _rows(gillespie_well_mixed(n, k_avg, params, 4, 10.0, seed)) == expected
+
+    def test_well_mixed_across_draw_blocks(self):
+        # Two uniforms per event: over 12.5k events use more than three
+        # 8192-draw blocks, so block boundaries fall mid-run.
+        n, k_avg, params = 2000, 8.0, RateParams(0.3, 1.0, 0.5)
+        for seed in range(2):
+            expected = _well_mixed_reference(n, k_avg, params, 20, 15.0, seed)
+            assert len(expected) - 1 > 12_500
+            assert _rows(gillespie_well_mixed(n, k_avg, params, 20, 15.0, seed)) == expected
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_hub_heavy_network(self, alpha):
+        g = generate_ba(300, 10, seed=7)
+        params = RateParams(0.15, 1.0, alpha)
+        for seed in range(4):
+            init = init_state(g, 0.03, seed=seed)
+            expected = _network_reference(g, params, init, 10.0, seed)
+            assert len(expected) > 100
+            assert _rows(gillespie_run(g, params, init, 10.0, seed)) == expected
 
 
 class TestGillespieWellMixed:
