@@ -79,11 +79,12 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("generate", help="generate a graph and emit its edge list")
     gen.add_argument("--model", choices=("er", "ws", "ba"), required=True)
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--p", type=float, help="ER edge probability")
-    gen.add_argument("--k", type=int, help="WS ring degree")
-    gen.add_argument("--p-rewire", type=float, help="WS rewiring probability")
-    gen.add_argument("--m", type=int, help="BA edges per new node")
+    rate, positive, count = _at_least(0.0), _at_least(0.0, strict=True), _at_least(1, int)
+    gen.add_argument("--n", type=_at_least(0, int), required=True)
+    gen.add_argument("--p", type=rate, help="ER edge probability")
+    gen.add_argument("--k", type=count, help="WS ring degree")
+    gen.add_argument("--p-rewire", type=rate, help="WS rewiring probability")
+    gen.add_argument("--m", type=count, help="BA edges per new node")
     gen.add_argument("--seed", default="0", help="integer seed, or 'auto'")
     gen.add_argument("--out", help="output path (default stdout)")
 
@@ -101,10 +102,9 @@ def _build_parser() -> _Parser:
     swp.add_argument("config", help="sweep-spec JSON path")
     swp.add_argument("--out-dir", default=".")
 
-    rate, positive, count = _at_least(0.0), _at_least(0.0, strict=True), _at_least(1, int)
     for exp_id, helptext, n, t_max in (
         ("exp01", "epidemic-scope threshold sweep", 1000, 30.0),
-        ("exp02", "ER vs BA density comparison", None, 30.0),  # n follows the density
+        ("exp02", "ER vs BA density comparison", None, 30.0),
         ("exp03", "degree-cap lockdown timing", 3000, 10.0),
         ("exp04", "waning-immunity waves", 1000, 100.0),
     ):
@@ -112,7 +112,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--out-dir", default=".")
         p.add_argument("--replicates", type=count, default=50)
         p.add_argument("--base-seed", type=_at_least(0, int), default=0)
-        p.add_argument("--n", type=_at_least(2, int), default=n)
+        if n is not None:  # exp02's sizes follow its densities
+            p.add_argument("--n", type=_at_least(2, int), default=n)
         p.add_argument("--t-max", type=positive, default=t_max)
         if exp_id == "exp01":
             p.add_argument(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Iterable, Optional
 
 import numpy as np
@@ -39,32 +40,48 @@ class Graph:
         return len(self.adjacency)
 
     @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph on nodes 0..n-1 from an iterable of (u, v) pairs.
+    def from_edges(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> "Graph":
+        """Build a graph on nodes 0..n-1 from (u, v) pairs: an iterable of
+        pairs or an (m, 2) integer array.
 
         Reversed duplicates collapse; self-loops are rejected.
         """
         if n < 0:
             raise ParameterError("node count must be >= 0")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        m = 0
-        for u, v in edges:
-            if u == v:
-                raise ParameterError(f"self-loop on node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParameterError(f"edge ({u}, {v}) outside node range 0..{n - 1}")
-            if v not in adj[u]:
-                adj[u].add(v)
-                adj[v].add(u)
-                m += 1
-        return Graph(tuple(tuple(sorted(s)) for s in adj), m)
+        try:
+            pairs = np.asarray(edges if isinstance(edges, np.ndarray)
+                               else list(edges) or np.empty((0, 2), dtype=np.int64))
+            ok = pairs.ndim == 2 and pairs.shape[1] == 2 and pairs.dtype.kind in "iu"
+        except ValueError:  # ragged pairs
+            ok = False
+        if not ok:
+            raise ParameterError("edges must be (u, v) pairs of integer node ids")
+        lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        if bad.any():  # report the first bad edge, a self-loop before a range error
+            a, b = pairs[bad.argmax()].tolist()
+            raise ParameterError(f"self-loop on node {a}" if a == b
+                                 else f"edge ({a}, {b}) outside node range 0..{n - 1}")
+        keys = np.sort(lo.astype(np.int64) * n + hi.astype(np.int64))  # np.unique: 50x slower
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        src, dst = np.divmod(np.sort(np.concatenate([keys, keys % n * n + keys // n])), n)
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))]).tolist()
+        # One int object per node id, shared by every tuple that holds it.
+        flat = np.array(range(n), dtype=object)[dst].tolist()
+        return Graph(tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])), len(keys))
+
+    def edge_array(self) -> np.ndarray:
+        """All edges as an (m, 2) array of rows u < v, in `edges()` order."""
+        src = np.repeat(np.arange(self.node_count), self.degrees())
+        dst = np.fromiter(chain.from_iterable(self.adjacency), np.int64, len(src))
+        return np.column_stack([src, dst])[src < dst]
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted (u, v) pairs with u < v."""
-        return [(u, v) for u in range(self.node_count) for v in self.adjacency[u] if u < v]
+        return list(zip(*self.edge_array().T.tolist()))
 
     def degrees(self) -> np.ndarray:
-        return np.array([len(nbrs) for nbrs in self.adjacency], dtype=np.int64)
+        return np.fromiter(map(len, self.adjacency), np.int64, self.node_count)
 
     def degree(self, node: int) -> int:
         return len(self.adjacency[node])
@@ -89,19 +106,22 @@ def generate_er(n: int, p: float, seed: int) -> Graph:
     if n < 2 or p == 0.0:
         return Graph.from_edges(n, [])
     if p == 1.0:
-        return Graph.from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
-    # Geometric skipping over the pair sequence: O(edges), not O(n^2).
-    edges = []
+        return Graph.from_edges(n, np.column_stack(np.triu_indices(n, 1)))
+    # Geometric skipping over the pair sequence: O(edges), not O(n^2). A block of
+    # rng.random(k) holds the doubles of k single calls; np.log may differ in the last bit.
+    draw = chain.from_iterable(iter(lambda: rng.random(8192).tolist(), None)).__next__
+    ws, vs = [], []
     log_q = math.log(1.0 - p)
     v, w = 1, -1
     while v < n:
-        w += 1 + int(math.log(1.0 - rng.random()) / log_q)
+        w += 1 + int(math.log(1.0 - draw()) / log_q)
         while w >= v and v < n:
             w -= v
             v += 1
         if v < n:
-            edges.append((w, v))
-    return Graph.from_edges(n, edges)
+            ws.append(w)
+            vs.append(v)
+    return Graph.from_edges(n, np.array([ws, vs], dtype=np.int64).T)
 
 
 def generate_ws(n: int, k: int, p_rewire: float, seed: int) -> Graph:
@@ -119,12 +139,7 @@ def generate_ws(n: int, k: int, p_rewire: float, seed: int) -> Graph:
     if not 0.0 <= p_rewire <= 1.0:
         raise ParameterError(f"rewiring probability must be in [0, 1], got {p_rewire}")
     rng = np.random.default_rng(seed)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u in range(n):
-        for j in range(1, k // 2 + 1):
-            v = (u + j) % n
-            adj[u].add(v)
-            adj[v].add(u)
+    adj = [{(u + j) % n for j in range(-(k // 2), k // 2 + 1) if j} for u in range(n)]
     for u in range(n):
         for j in range(1, k // 2 + 1):
             v = (u + j) % n
@@ -139,7 +154,7 @@ def generate_ws(n: int, k: int, p_rewire: float, seed: int) -> Graph:
             adj[v].discard(u)
             adj[u].add(w)
             adj[w].add(u)
-    return Graph.from_edges(n, ((u, v) for u in range(n) for v in adj[u] if u < v))
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
 
 
 def generate_ba(n: int, m: int, seed: int) -> Graph:
@@ -152,20 +167,27 @@ def generate_ba(n: int, m: int, seed: int) -> Graph:
     if not 1 <= m < n:
         raise ParameterError(f"need 1 <= m < n, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
-    edges: list[tuple[int, int]] = []
-    # Endpoints repeated by degree; sampling uniformly from it is
-    # degree-proportional sampling.
+    # rng.integers(h) replayed on the uint32 words (low half of each 64-bit output first)
+    # by numpy's Lemire rule, for h < 2**32: x = word * h until x % 2**32 >= 2**32 % h.
+    word = chain.from_iterable(iter(lambda: rng.bit_generator.random_raw(4096)
+                                    .astype("<u8").view("<u4").tolist(), None)).__next__
+    # Endpoints repeated by degree: a uniform pick from it is degree-proportional.
     repeated: list[int] = []
     targets = list(range(m))
     for new in range(m, n):
-        for t in targets:
-            edges.append((new, t))
         repeated.extend(targets)
         repeated.extend([new] * m)
+        h = len(repeated)
+        reject = (1 << 32) % h
         chosen: set[int] = set()
         while len(chosen) < m:
-            chosen.add(repeated[int(rng.integers(len(repeated)))])
+            x = word() * h
+            while x & 0xFFFFFFFF < reject:
+                x = word() * h
+            chosen.add(repeated[x >> 32])  # the draw is x >> 32
         targets = sorted(chosen)
+    # Per new node: its m targets, then m copies of itself, which pair up as its edges.
+    edges = np.array(repeated).reshape(-1, 2, m).transpose(0, 2, 1).reshape(-1, 2)
     return Graph.from_edges(n, edges)
 
 
@@ -178,13 +200,12 @@ def load_edge_list(text: str | IO[str], compact_ids: bool = False) -> Graph:
     """
     if hasattr(text, "read"):
         text = text.read()
-    pairs: list[tuple[int, int]] = []
+    us, vs = [], []
     self_loops = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.partition("#")[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise EdgeListFormatError(lineno, raw, "expected two node ids")
         try:
@@ -196,26 +217,25 @@ def load_edge_list(text: str | IO[str], compact_ids: bool = False) -> Graph:
         if u == v:
             self_loops += 1
             continue
-        pairs.append((u, v))
+        us.append(u)
+        vs.append(v)
     if self_loops:
         logger.warning("skipped %d self-loop line(s)", self_loops)
-    if not pairs:
+    if not us:
         return Graph.from_edges(0, [])
+    ids = np.array([us, vs])
     if compact_ids:
-        ids = sorted({x for e in pairs for x in e})
-        remap = {old: new for new, old in enumerate(ids)}
-        pairs = [(remap[u], remap[v]) for u, v in pairs]
-        n = len(ids)
+        uniq, ids = np.unique(ids.ravel(), return_inverse=True)
+        n = len(uniq)
     else:
-        n = max(max(e) for e in pairs) + 1
-    return Graph.from_edges(n, pairs)
+        n = int(ids.max()) + 1
+    return Graph.from_edges(n, ids.reshape(2, -1).T)
 
 
 def save_edge_list(g: Graph, stream: IO[str]) -> None:
     """Write the "u v" per-line format load_edge_list reads."""
-    stream.write(f"# nodes: {g.node_count}\n")
-    for u, v in g.edges():
-        stream.write(f"{u} {v}\n")
+    us, vs = g.edge_array().T.tolist()
+    stream.write(f"# nodes: {g.node_count}\n" + "".join([f"{u} {v}\n" for u, v in zip(us, vs)]))
 
 
 def density(g: Graph) -> float:

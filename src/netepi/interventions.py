@@ -39,9 +39,8 @@ def apply_degree_cap(g: Graph, cap: int, seed: int) -> Graph:
         for u in incident[cap:]:
             adj[v].discard(u)
             adj[u].discard(v)
-    return Graph.from_edges(
-        g.node_count, ((u, v) for u in range(g.node_count) for v in adj[u] if u < v)
-    )
+    kept = [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v]
+    return Graph.from_edges(g.node_count, np.array(kept, dtype=np.int64).reshape(-1, 2))
 
 
 def thin_to_density(g: Graph, target: float, seed: int) -> Graph:
@@ -61,9 +60,9 @@ def thin_to_density(g: Graph, target: float, seed: int) -> Graph:
     if keep >= g.edge_count:
         return g
     rng = np.random.default_rng(seed)
-    edges = g.edges()
+    edges = g.edge_array()
     kept_idx = rng.choice(len(edges), size=keep, replace=False)
-    return Graph.from_edges(n, (edges[i] for i in kept_idx))
+    return Graph.from_edges(n, edges[kept_idx])
 
 
 @functools.lru_cache(maxsize=1)

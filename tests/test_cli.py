@@ -66,6 +66,22 @@ class TestGenerate:
     def test_bad_parameter_value(self):
         assert run_cli("generate", "--model", "er", "--n", "10", "--p", "2.0") == EXIT_RUNTIME
 
+    @pytest.mark.parametrize("argv", [
+        ["--model", "er", "--n", "abc", "--p", "0.1"],
+        ["--model", "er", "--n", "-1", "--p", "0.1"],
+        ["--model", "er", "--n", "10", "--p", "nan"],
+        ["--model", "er", "--n", "10", "--p", "-0.5"],
+        ["--model", "ws", "--n", "10", "--k", "2", "--p-rewire", "nan"],
+        ["--model", "ws", "--n", "10", "--k", "2.5", "--p-rewire", "0.1"],
+        ["--model", "ba", "--n", "10", "--m", "0"],
+    ], ids=" ".join)
+    def test_bad_numbers_rejected_at_parse_time(self, tmp_path, capsys, argv):
+        out = tmp_path / "g.txt"
+        assert run_cli("generate", *argv, "--out", str(out)) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: argument --") and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "g.txt"
         assert run_cli("generate", "--model", "ws", "--n", "12", "--k", "4",
@@ -321,7 +337,9 @@ class TestSweepAndExperiments:
         (["exp03", "--triggers", "20"], EXIT_RUNTIME),  # finite but past t_max
     ], ids=lambda v: " ".join(v[1:]) if isinstance(v, list) else f"exit{v}")
     def test_bad_grid_values(self, tmp_path, capsys, argv, code):
-        argv = argv + ["--n", "60", "--replicates", "1", "--out-dir", str(tmp_path / "out")]
+        if argv[0] != "exp02":  # exp02 has no --n: its sizes follow --densities
+            argv = argv + ["--n", "60"]
+        argv = argv + ["--replicates", "1", "--out-dir", str(tmp_path / "out")]
         if argv[0] == "exp03":
             argv.extend(["--m", "2"])
         assert run_cli(*argv) == code
@@ -347,6 +365,12 @@ class TestSweepAndExperiments:
         assert run_cli(*argv, "--out-dir", str(tmp_path / "out")) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: argument --") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_exp02_has_no_n_option(self, tmp_path, capsys):
+        assert run_cli("exp02", "--n", "60", "--replicates", "1",
+                       "--out-dir", str(tmp_path / "out")) == EXIT_USAGE
+        assert "unrecognized arguments: --n 60" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_density_too_low_for_two_nodes(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -28,6 +29,85 @@ from netepi.graphs import (
 
 def complete_graph(n):
     return Graph.from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+
+
+def reference_from_edges(n, edges):
+    """The set-per-node builder `Graph.from_edges` replaced, kept as its reference."""
+    adj = [set() for _ in range(n)]
+    m = 0
+    for u, v in edges:
+        if u == v:
+            raise ParameterError(f"self-loop on node {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParameterError(f"edge ({u}, {v}) outside node range 0..{n - 1}")
+        if v not in adj[u]:
+            adj[u].add(v)
+            adj[v].add(u)
+            m += 1
+    return Graph(tuple(tuple(sorted(s)) for s in adj), m)
+
+
+MALFORMED = "edges must be (u, v) pairs of integer node ids"
+
+
+class TestFromEdges:
+    @pytest.mark.parametrize("n, pairs, error", [
+        (4, [(0, 1), (1, 0), (2, 1), (1, 2), (0, 1)], None),
+        (3, [(0, 1), (2, 2), (0, 9)], "self-loop on node 2"),
+        (3, [(0, 9), (2, 2)], "edge (0, 9) outside node range 0..2"),
+        (3, [(1, 0), (-1, 2)], "edge (-1, 2) outside node range 0..2"),
+        (0, [], None),
+        (0, [(0, 1)], "edge (0, 1) outside node range 0..-1"),
+        (3, [(0, 1, 2)], MALFORMED),
+        (3, [(0, 1.5)], MALFORMED),
+    ], ids=["reversed-duplicates", "self-loop-first", "range-first", "negative",
+            "empty", "n0-range", "3-tuple", "float-id"])
+    def test_array_and_iterable_agree(self, n, pairs, error):
+        array = np.array(pairs) if pairs else np.empty((0, 2), dtype=np.int64)
+        inputs = [pairs, iter(pairs), array]
+        if error is None:
+            built = [Graph.from_edges(n, edges) for edges in inputs]
+            assert built[0] == built[1] == built[2] == reference_from_edges(n, pairs)
+        else:
+            for edges in inputs:
+                with pytest.raises(ParameterError) as err:
+                    Graph.from_edges(n, edges)
+                assert str(err.value) == error
+            if error != MALFORMED:
+                with pytest.raises(ParameterError) as err:
+                    reference_from_edges(n, pairs)
+                assert str(err.value) == error
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 2, 0)],
+        np.array([0, 1]),
+        np.array([[[0, 1]]]),
+        np.array([[0, 1]], dtype=np.float64),
+        [("0", "1")],
+    ], ids=["ragged", "flat-array", "3d-array", "float-array", "strings"])
+    def test_malformed_input_is_rejected(self, edges):
+        with pytest.raises(ParameterError) as err:
+            Graph.from_edges(3, edges)
+        assert str(err.value) == MALFORMED
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_reference_builder(self, seed):
+        rng = np.random.default_rng(seed)
+        pairs = rng.integers(0, 40, size=(300, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        as_tuples = [tuple(p) for p in pairs.tolist()]
+        want = reference_from_edges(40, as_tuples)
+        assert Graph.from_edges(40, pairs) == want
+        assert Graph.from_edges(40, as_tuples) == want
+        assert Graph.from_edges(40, pairs.astype(np.uint32)) == want
+        assert Graph.from_edges(40, pairs).edges() == sorted({(min(p), max(p)) for p in as_tuples})
+
+    def test_neighbour_ids_are_shared_objects(self):
+        # Ids above 256 are not interned by Python; one object each keeps memory down.
+        g = generate_ba(1000, 3, seed=1)
+        for node in (300, 999):
+            assert g.degree(node) >= 3
+            assert len({id(v) for nbrs in g.adjacency for v in nbrs if v == node}) == 1
 
 
 class TestGenerateEr:
@@ -165,12 +245,49 @@ class TestLoadEdgeList:
         assert g.node_count == 3
         assert g.edge_count == 2
 
+    def test_compact_ids_keep_id_order(self):
+        g = load_edge_list("100 7\n7 50  # c\n\n50 7\n", compact_ids=True)
+        assert g == Graph(((1, 2), (0,), (0,)), 2)
+
+    def test_self_loops_skipped_with_warning(self, caplog):
+        g = load_edge_list("0 1\n2 2\n3 3\n")
+        assert g == Graph(((1,), (0,)), 1)
+        assert "skipped 2 self-loop line(s)" in caplog.text
+
     def test_round_trip(self):
         g = generate_er(50, 0.1, seed=4)
         buf = io.StringIO()
         save_edge_list(g, buf)
         g2 = load_edge_list(buf.getvalue())
         assert g.edges() == g2.edges()
+
+
+def edge_list_text(g):
+    buf = io.StringIO()
+    save_edge_list(g, buf)
+    return buf.getvalue()
+
+
+class TestIdentityAtScale:
+    """SHA-256 of the saved edge list of seeded graphs far larger than the
+    golden CLI outputs. Both BA cases redraw after a rejected integer draw.
+    A digest changes only with a declared output version (see CHANGES.md)."""
+
+    @pytest.mark.parametrize("build, digest", [
+        (lambda: generate_ba(3000, 20, seed=7),
+         "1a2809ec78cfe7f4533f7a7d032dafe05d65ba2064f30f3ba0567a7b896d3a9c"),
+        (lambda: generate_ba(30000, 5, seed=7),
+         "fb984c5b94efc7ad78eb47c5fda8c8a2e94aa837716ec741343845d1f1d86baf"),
+        (lambda: generate_er(10001, 10 / 10000, seed=3),
+         "389e4437799c350e30a8fb4ebfc9d3473089e91572cd4737e866dfd53db35557"),
+        (lambda: generate_ws(1000, 10, 0.1, seed=0),
+         "3e95935974973b42e55caa4ed28afa4814189092dcaba9196f880137c4dec150"),
+    ], ids=["ba3000-20", "ba30000-5", "er10001", "ws1000"])
+    def test_saved_edge_list_digest(self, build, digest):
+        g = build()
+        text = edge_list_text(g)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert load_edge_list(text) == g
 
 
 class TestMetrics:

@@ -1,9 +1,12 @@
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
 from netepi.dynamics import RateParams, gillespie_run, init_state
 from netepi.errors import ConfigError, ParameterError
-from netepi.graphs import Graph, check_graph_invariants, density, generate_ba
+from netepi.graphs import Graph, check_graph_invariants, density, generate_ba, save_edge_list
 from netepi.interventions import InterventionSpec, apply_degree_cap, thin_to_density
 
 
@@ -84,6 +87,19 @@ class TestThinToDensity:
         a = thin_to_density(g, 0.02, seed=4)
         b = thin_to_density(g, 0.02, seed=4)
         assert a.edges() == b.edges()
+
+
+@pytest.mark.parametrize("transform, digest", [
+    (lambda g: apply_degree_cap(g, 5, seed=1),
+     "9df9028cb463eb34139f00f597047efdcdac8e3f7477370808b573755eb3592c"),
+    (lambda g: thin_to_density(g, 0.005, seed=2),
+     "d82ca2fe4305f7a7bf16d6621441071bae95f9d472d630cff36fec9e193a4545"),
+], ids=["degree_cap", "thin"])
+def test_transform_digest_at_scale(transform, digest):
+    # SHA-256 of the saved edge list; changes only with a declared output version.
+    buf = io.StringIO()
+    save_edge_list(transform(generate_ba(3000, 20, seed=7)), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
 class TestInterventionSpec:
