@@ -28,7 +28,7 @@ from .dynamics import (
     init_state,
     summarize_trajectory,
 )
-from .errors import ConfigError, EdgeListFormatError, NetEpiError
+from .errors import ConfigError, EdgeListFormatError, NetEpiError, ParameterError
 from .experiments import (
     NETWORK_FIELDS,
     NetworkSource,
@@ -157,7 +157,10 @@ def _cmd_generate(args) -> int:
     missing = [f"--{name.replace('_', '-')}" for name, v in values.items() if v is None]
     if missing:
         raise ConfigError(f"--model {args.model} requires {' and '.join(missing)}")
-    g = getattr(NetworkSource, args.model)(**values).build_graph(seed)
+    try:
+        g = getattr(NetworkSource, args.model)(**values).build_graph(seed)
+    except ParameterError as exc:  # a value out of the model's range, such as --p 2.0
+        raise ConfigError(str(exc)) from None
     buf = io.StringIO()
     graphs.save_edge_list(g, buf)
     _write_text(args.out, buf.getvalue())

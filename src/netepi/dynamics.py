@@ -83,8 +83,51 @@ class _IndexedSet:
             self.items[i] = last
             self.pos[last] = i
 
-    def choose(self, rng: np.random.Generator):
-        return self.items[int(rng.integers(len(self.items)))]
+    def choose(self, rng: np.random.Generator | _ReplayedDraws):
+        return self.items[rng.integers(len(self.items))]
+
+
+class _ReplayedDraws:
+    """`random()` and `integers(h)` of a PCG64 `np.random.Generator`, replayed
+    in plain Python on its raw 64-bit words (drawn 8192 at a time): the same
+    values in the same order, without a numpy call per draw.
+
+    random() takes one whole word w and returns (w >> 11) * 2**-53.
+    integers(h) takes the buffered high 32 bits of a word if there are any,
+    else the low 32 bits of the next word (buffering its high half), and
+    applies numpy's Lemire rule: x = bits * h until x % 2**32 >= 2**32 % h,
+    then x >> 32 (the rule `graphs.generate_ba` replays). integers(1) takes
+    no bits. Exact for 1 <= h < 2**32 only; numpy draws differently above.
+    """
+
+    __slots__ = ("_word", "_high")
+
+    def __init__(self, bit_generator: np.random.BitGenerator):
+        self._word = chain.from_iterable(
+            iter(lambda: bit_generator.random_raw(8192).tolist(), None)).__next__
+        self._high = None
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0 ** -53
+
+    def _uint32(self) -> int:
+        high = self._high
+        if high is None:
+            word = self._word()
+            self._high = word >> 32
+            return word & 0xFFFFFFFF
+        self._high = None
+        return high
+
+    def integers(self, h: int) -> int:
+        if h == 1:
+            return 0
+        x = self._uint32() * h
+        if x & 0xFFFFFFFF < h:  # only then can x fall under the rejection threshold
+            reject = (1 << 32) % h
+            while x & 0xFFFFFFFF < reject:
+                x = self._uint32() * h
+        return x >> 32
 
 
 class CompartmentState:
@@ -194,22 +237,14 @@ class CompartmentState:
     def infection_rate(self, beta: float) -> float:
         return beta * len(self.si_edges.items)
 
-    def infect_one(self, rng: np.random.Generator) -> None:
+    def infect_one(self, rng: np.random.Generator | _ReplayedDraws) -> None:
         self.infect(self.si_edges.choose(rng)[0])  # (susceptible, infected)
 
-    def recover_one(self, rng: np.random.Generator) -> None:
+    def recover_one(self, rng: np.random.Generator | _ReplayedDraws) -> None:
         self.recover(self.infected.choose(rng))
 
-    def wane_one(self, rng: np.random.Generator) -> None:
+    def wane_one(self, rng: np.random.Generator | _ReplayedDraws) -> None:
         self.wane(self.recovered.choose(rng))
-
-    def recount_si_edges(self) -> int:
-        """From-scratch S-I edge recount (cache-coherence oracle)."""
-        count, labels = 0, self.labels
-        for u, v in ((u, v) for u in range(self.n) for v in self.graph.adjacency[u] if u < v):
-            if {labels[u], labels[v]} == {S, I}:
-                count += 1
-        return count
 
 
 def resolve_infected_count(n: int, initial_infected: int | float) -> int:
@@ -295,9 +330,8 @@ class Trajectory:
         return self.s[idx], self.i[idx], self.r[idx]
 
     def to_csv(self, stream: IO[str]) -> None:
-        stream.write("t,S,I,R\n")
-        for t, s, i, r in zip(self.times, self.s, self.i, self.r):
-            stream.write(f"{float(t)!r},{s},{i},{r}\n")
+        rows = zip(self.times.tolist(), self.s.tolist(), self.i.tolist(), self.r.tolist())
+        stream.write("t,S,I,R\n" + "".join(f"{t!r},{s},{i},{r}\n" for t, s, i, r in rows))
 
 
 @dataclass(frozen=True)
@@ -372,14 +406,23 @@ def _run_events(pop: CompartmentState | WellMixedPopulation, params: RateParams,
     The arithmetic and the draw order (waiting time, event class, target)
     are those of `sample_waiting_time` and `select_event`. `pending`
     interventions, sorted by trigger time, need a network population.
-    A well-mixed population draws its uniforms in blocks (the same doubles);
-    a network one cannot, as `_IndexedSet.choose` draws from `rng` too.
+
+    Both populations draw the doubles `np.random.default_rng(seed)` would
+    give, in blocks. A network population also picks targets with
+    `integers(h)` between the uniforms, so it draws through
+    `_ReplayedDraws`, which interleaves both calls on one stream of raw
+    words. A well-mixed population draws no integers: its uniforms come
+    straight from `rng.random(8192)` blocks, which is cheaper per draw
+    than a Python method.
     """
     if t_max <= 0:
         raise ParameterError(f"t_max must be positive, got {t_max}")
     rng = np.random.default_rng(seed)
-    draw = (chain.from_iterable(iter(lambda: rng.random(8192).tolist(), None)).__next__
-            if isinstance(pop, WellMixedPopulation) else rng.random)
+    if isinstance(pop, WellMixedPopulation):
+        draw = chain.from_iterable(iter(lambda: rng.random(8192).tolist(), None)).__next__
+    else:
+        rng = _ReplayedDraws(rng.bit_generator)
+        draw = rng.random
     beta, gamma, alpha = params.beta, params.gamma, params.alpha
     start = (pop.n_s, pop.n_i, pop.n_r)
     t = 0.0

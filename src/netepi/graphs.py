@@ -341,19 +341,3 @@ def metrics_report(g: Graph, k_min: Optional[int] = None) -> dict:
         "power_law_exponent": exponent,
         "scale_free": scale_free,
     }
-
-
-def check_graph_invariants(g: Graph) -> None:
-    """Raise if the structural invariants do not hold (test helper)."""
-    total_degree = 0
-    for u, nbrs in enumerate(g.adjacency):
-        if u in nbrs:
-            raise AssertionError(f"self-loop on node {u}")
-        if len(set(nbrs)) != len(nbrs):
-            raise AssertionError(f"duplicate neighbour on node {u}")
-        for v in nbrs:
-            if u not in g.adjacency[v]:
-                raise AssertionError(f"asymmetric edge ({u}, {v})")
-        total_degree += len(nbrs)
-    if total_degree != 2 * g.edge_count:
-        raise AssertionError("degree sum does not equal 2 * edge count")

@@ -56,9 +56,8 @@ class OdeSolution:
         return self.fractions[idx]
 
     def to_csv(self, stream: IO[str]) -> None:
-        stream.write("t,S,I,R\n")
-        for t, (s, i, r) in zip(self.times, self.fractions):
-            stream.write(f"{float(t)!r},{float(s)!r},{float(i)!r},{float(r)!r}\n")
+        rows = zip(self.times.tolist(), self.fractions.tolist())
+        stream.write("t,S,I,R\n" + "".join(f"{t!r},{s!r},{i!r},{r!r}\n" for t, (s, i, r) in rows))
 
 
 def _integrate(rhs, init: FractionState, params: RateParams, t_max: float, dt: float) -> OdeSolution:
@@ -68,25 +67,30 @@ def _integrate(rhs, init: FractionState, params: RateParams, t_max: float, dt: f
         raise ParameterError(f"t_max must be positive, got {t_max}")
     steps = int(round(t_max / dt))
     times = np.arange(steps + 1) * dt
-    out = np.empty((steps + 1, 3), dtype=np.float64)
-    y = init.as_array()
-    out[0] = y
-    for step in range(steps):
-        k1 = rhs(y, params)
-        k2 = rhs(y + 0.5 * dt * k1, params)
-        k3 = rhs(y + 0.5 * dt * k2, params)
-        k4 = rhs(y + dt * k3, params)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[step + 1] = y
-    return OdeSolution(times=times, fractions=out, params=params)
+    # Plain floats in numpy's elementwise order, so every double matches
+    # the array form y + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4).
+    h, c = 0.5 * dt, dt / 6.0
+    y = (init.s, init.i, init.r)
+    rows = [y]
+    for _ in range(steps):
+        s, i, r = y
+        a1, b1, c1 = rhs(y, params)
+        a2, b2, c2 = rhs((s + h * a1, i + h * b1, r + h * c1), params)
+        a3, b3, c3 = rhs((s + h * a2, i + h * b2, r + h * c2), params)
+        a4, b4, c4 = rhs((s + dt * a3, i + dt * b3, r + dt * c3), params)
+        y = (s + c * (((a1 + 2.0 * a2) + 2.0 * a3) + a4),
+             i + c * (((b1 + 2.0 * b2) + 2.0 * b3) + b4),
+             r + c * (((c1 + 2.0 * c2) + 2.0 * c3) + c4))
+        rows.append(y)
+    return OdeSolution(times=times, fractions=np.array(rows, dtype=np.float64), params=params)
 
 
-def _sirs_rhs(y: np.ndarray, p: RateParams) -> np.ndarray:
+def _sirs_rhs(y, p: RateParams) -> tuple:
     s, i, r = y
     infection = p.beta * s * i
     recovery = p.gamma * i
     waning = p.alpha * r
-    return np.array([-infection + waning, infection - recovery, recovery - waning])
+    return (-infection + waning, infection - recovery, recovery - waning)
 
 
 def ode_sir(params: RateParams, init: FractionState, t_max: float, dt: float = DEFAULT_DT) -> OdeSolution:

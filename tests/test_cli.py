@@ -63,8 +63,18 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_bad_parameter_value(self):
-        assert run_cli("generate", "--model", "er", "--n", "10", "--p", "2.0") == EXIT_RUNTIME
+    @pytest.mark.parametrize("argv", [
+        ["--model", "er", "--n", "10", "--p", "2.0"],
+        ["--model", "ws", "--n", "10", "--k", "2", "--p-rewire", "1.5"],
+        ["--model", "ws", "--n", "10", "--k", "3", "--p-rewire", "0.1"],
+        ["--model", "ba", "--n", "5", "--m", "5"],
+    ], ids=" ".join)
+    def test_bad_parameter_value(self, tmp_path, capsys, argv):
+        out = tmp_path / "g.txt"
+        assert run_cli("generate", *argv, "--out", str(out)) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["--model", "er", "--n", "abc", "--p", "0.1"],

@@ -15,6 +15,7 @@ from netepi.dynamics import (
     RateParams,
     S,
     WANING,
+    _ReplayedDraws,
     abm_run,
     compute_event_rates,
     gillespie_run,
@@ -32,6 +33,8 @@ from netepi.errors import (
 )
 from netepi.graphs import Graph, generate_ba, generate_er
 from netepi.ode import FractionState, ode_sir
+
+from invariants import recount_si_edges
 
 
 def triangle():
@@ -105,7 +108,7 @@ class TestEventRates:
                 state.infect(state.si_edges.choose(rng)[0])
             if len(state.infected):
                 state.recover(state.infected.choose(rng))
-            assert state.si_edge_count == state.recount_si_edges()
+            assert state.si_edge_count == recount_si_edges(state)
 
 
 class TestLabels:
@@ -134,7 +137,7 @@ class TestLabels:
         twin.infect(twin.si_edges.items[0][0])
         assert np.array_equal(state.labels, before)
         assert not np.array_equal(twin.labels, before)
-        assert state.si_edge_count == state.recount_si_edges()
+        assert state.si_edge_count == recount_si_edges(state)
 
         restored = pickle.loads(pickle.dumps(state))
         assert np.array_equal(restored.labels, before)
@@ -251,7 +254,7 @@ class TestGillespieRun:
                 live.recover(live.infected.choose(rng))
             else:
                 live.wane(live.recovered.choose(rng))
-        assert live.si_edge_count == live.recount_si_edges()
+        assert live.si_edge_count == recount_si_edges(live)
 
 
 def _reference_run(rates_of, fire, counts, t_max, seed):
@@ -361,6 +364,47 @@ class TestEngineMatchesReference:
             expected = _network_reference(g, params, init, 10.0, seed)
             assert len(expected) > 100
             assert _rows(gillespie_run(g, params, init, 10.0, seed)) == expected
+
+    def test_network_across_raw_word_blocks(self):
+        # Two words and a half per event: over 25k events use more than
+        # three 8192-word blocks, so block boundaries fall mid-run.
+        g = generate_er(1000, 0.008, seed=5)
+        params = RateParams(0.4, 1.0, 0.5)
+        init = init_state(g, 0.05, seed=1)
+        expected = _network_reference(g, params, init, 45.0, 1)
+        assert len(expected) - 1 > 25_000
+        assert _rows(gillespie_run(g, params, init, 45.0, 1)) == expected
+
+
+class _CountingPCG64:
+    """The bit generator of `np.random.default_rng(seed)`, counting its blocks."""
+
+    def __init__(self, seed):
+        self._pcg, self.blocks = np.random.PCG64(seed), 0
+
+    def random_raw(self, size):
+        self.blocks += 1
+        return self._pcg.random_raw(size)
+
+
+class TestReplayedDraws:
+    """`_ReplayedDraws` gives what `np.random.Generator` gives, call for call."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_generator_call_for_call(self, seed):
+        # Interleaved random() and integers(h): h = 1 takes no bits, and near
+        # 3e9 about 30 % of the 32-bit draws fall in numpy's rejection band.
+        bounds = [1, 2, 3, 7, 1000, 2_999_999_999, 3_000_000_000, 2**32 - 1]
+        ops = np.random.default_rng(100 + seed).integers(len(bounds) + 1, size=60_000).tolist()
+        ref = np.random.default_rng(seed)
+        raw = _CountingPCG64(seed)
+        replay = _ReplayedDraws(raw)
+        for op in ops:
+            if op == len(bounds):
+                assert replay.random() == ref.random()
+            else:
+                assert replay.integers(bounds[op]) == int(ref.integers(bounds[op]))
+        assert raw.blocks > 3
 
 
 class TestGillespieWellMixed:

@@ -12,7 +12,6 @@ from netepi.errors import (
 )
 from netepi.graphs import (
     Graph,
-    check_graph_invariants,
     classify_scale_free,
     degree_stats,
     density,
@@ -25,6 +24,8 @@ from netepi.graphs import (
     metrics_report,
     save_edge_list,
 )
+
+from invariants import check_graph_invariants
 
 
 def complete_graph(n):

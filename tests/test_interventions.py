@@ -6,8 +6,10 @@ import pytest
 
 from netepi.dynamics import RateParams, gillespie_run, init_state
 from netepi.errors import ConfigError, ParameterError
-from netepi.graphs import Graph, check_graph_invariants, density, generate_ba, save_edge_list
+from netepi.graphs import Graph, density, generate_ba, save_edge_list
 from netepi.interventions import InterventionSpec, apply_degree_cap, thin_to_density
+
+from invariants import check_graph_invariants
 
 
 def star(n):

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import itertools
 import math
 
 import numpy as np
@@ -150,3 +152,19 @@ class TestEquilibriumAndR0:
     def test_r0_gamma_zero(self):
         with pytest.raises(ParameterError):
             r0(RateParams(0.1, 0.0))
+
+
+@pytest.mark.parametrize("solve, digest", [
+    (ode_sir, "607314b4da6ca737dda985cfb549983288656f7c00ed3a6ae30233f0e4631cee"),
+    (ode_sirs, "6291a4b6bdae7bd3988e40c506f1be2d1bb3f56457a169640084afd90ac646a2"),
+], ids=["sir", "sirs"])
+def test_solution_doubles_are_pinned(solve, digest):
+    """SHA-256 of every solution double over a grid of rates, initial states
+    and steps, recorded from the array form of the RK4 step."""
+    h = hashlib.sha256()
+    for beta, alpha, init, dt in itertools.product(
+        (0.0, 0.5, 3.0, 10.0), (0.0, 0.2, 1.3),
+        (FractionState(0.99, 0.01), FractionState(0.5, 0.3, 0.2)), (0.003, 0.01, 0.1),
+    ):
+        h.update(solve(RateParams(beta, 1.0, alpha), init, 3.0, dt).fractions.tobytes())
+    assert h.hexdigest() == digest
