@@ -91,7 +91,7 @@ def _build_parser() -> _Parser:
     met = sub.add_parser("metrics", help="measure a graph from an edge-list file")
     met.add_argument("edge_list", help="edge-list path, or '-' for stdin")
     met.add_argument("--compact-ids", action="store_true", help="remap sparse ids to 0..n-1")
-    met.add_argument("--k-min", type=int, help="pin the power-law fit tail cutoff")
+    met.add_argument("--k-min", type=count, help="pin the power-law fit tail cutoff")
     met.add_argument("--out", help="output path (default stdout)")
 
     sim = sub.add_parser("simulate", help="single run from a JSON config")
@@ -342,7 +342,10 @@ def dispatch(argv: Sequence[str]) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_exp(args)
-    except (ConfigError, EdgeListFormatError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (
+        ConfigError, EdgeListFormatError, FileNotFoundError, IsADirectoryError,
+        json.JSONDecodeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NetEpiError, OSError) as exc:

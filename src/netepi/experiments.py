@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from typing import IO, Optional, Sequence
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from . import graphs
 from .dynamics import (
@@ -426,8 +425,45 @@ def count_waves(
     w = max(1, int(round(smooth_window / dt)))
     kernel = np.ones(w) / w
     smoothed = np.convolve(mean_i_fraction, kernel, mode="same")
-    peaks, _ = find_peaks(smoothed, height=min_height, prominence=min_prominence)
-    return len(peaks)
+    return _count_peaks(smoothed.tolist(), min_height, min_prominence)
+
+
+def _count_peaks(x: list[float], min_height: float, min_prominence: float) -> int:
+    # scipy.signal.find_peaks(x, height=, prominence=) without scipy: the
+    # same local maxima (a plateau counts once, the ends never), then
+    # x[p] >= min_height, then a prominence with no window >= min_prominence.
+    count = 0
+    last = len(x) - 1
+    i = 1
+    while i < last:
+        peak = x[i]
+        if x[i - 1] < peak:
+            ahead = i + 1
+            while ahead < last and x[ahead] == peak:
+                ahead += 1
+            if x[ahead] < peak:
+                p = (i + ahead - 1) // 2
+                if peak >= min_height and peak - _base(x, p) >= min_prominence:
+                    count += 1
+                i = ahead
+        i += 1
+    return count
+
+
+def _base(x: list[float], p: int) -> float:
+    # The higher of the lowest points on each side of x[p] before a
+    # sample above it (scipy's _peak_prominences).
+    peak = x[p]
+    left_min = right_min = peak
+    i = p
+    while i >= 0 and x[i] <= peak:
+        left_min = min(left_min, x[i])
+        i -= 1
+    i = p
+    while i < len(x) and x[i] <= peak:
+        right_min = min(right_min, x[i])
+        i += 1
+    return max(left_min, right_min)
 
 
 def experiment_sirs(

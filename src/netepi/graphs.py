@@ -14,7 +14,6 @@ from itertools import chain
 from typing import IO, Iterable, Optional
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     EdgeListFormatError,
@@ -267,6 +266,50 @@ def _power_law_mle(tail: np.ndarray, k_min: int) -> float:
     return 1.0 + tail.size / float(np.sum(np.log(tail / (k_min - 0.5))))
 
 
+# Euler-Maclaurin coefficients (2k)!/B_2k of cephes' zeta(x, q).
+_ZETA_A = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9, 7.47242496e10,
+    -2.950130727918164224e12, 1.1646782814350067249e14, -4.5979787224074726105e15,
+    1.8152105401943546773e17, -7.1661652561756670113e18,
+)
+_MACHEP = 1.11022302462515654042e-16  # 2**-53
+
+
+def _hurwitz_zeta(x: float, q: float) -> float:
+    # Hurwitz zeta sum_{i>=0} (q + i)^-x for x > 1 and 1 <= q <= 1e8, step
+    # for step as cephes' zeta(x, q), so it returns the same double as
+    # scipy.special.zeta(x, q): a direct sum, then Euler-Maclaurin. (Above
+    # 1e8, where no degree reaches, cephes switches to an asymptotic form.)
+    s = q ** -x
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a ** -x
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for coeff in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / coeff
+        s += t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
+
 def _ks_distance(tail_sorted: np.ndarray, k_min: int, exponent: float) -> float:
     # Degrees are integers, so compare against the discrete power law
     # p(k) ~ k^-exponent on k >= k_min (Hurwitz-zeta normalized); the
@@ -275,7 +318,7 @@ def _ks_distance(tail_sorted: np.ndarray, k_min: int, exponent: float) -> float:
     values, counts = np.unique(tail_sorted, return_counts=True)
     ecdf = np.cumsum(counts) / n
     support = np.arange(k_min, values[-1] + 1, dtype=np.float64)
-    pmf = support ** (-exponent) / special.zeta(exponent, k_min)
+    pmf = support ** (-exponent) / _hurwitz_zeta(exponent, float(k_min))
     model = np.cumsum(pmf)[values - k_min]
     return float(np.max(np.abs(ecdf - model)))
 

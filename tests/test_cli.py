@@ -116,6 +116,17 @@ class TestMetrics:
     def test_missing_file(self):
         assert run_cli("metrics", "/no/such/file") == EXIT_INPUT
 
+    @pytest.mark.parametrize("k_min", ["0", "-3", "abc", "2.5"])
+    def test_bad_k_min(self, tmp_path, capsys, k_min):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n1 2\n")
+        assert run_cli("metrics", str(path), f"--k-min={k_min}") == EXIT_INPUT
+        assert "--k-min" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["metrics", "simulate"])
+    def test_directory_path(self, tmp_path, command):
+        assert run_cli(command, str(tmp_path)) == EXIT_INPUT
+
     def test_malformed_edge_list(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 1\nbroken\n")

@@ -2,10 +2,13 @@ import io
 
 import numpy as np
 import pytest
+from scipy.signal import find_peaks, peak_prominences
 
 from netepi import graphs, interventions
 from netepi.errors import ParameterError
 from netepi.experiments import (
+    WAVE_MIN_HEIGHT,
+    WAVE_MIN_PROMINENCE,
     ExperimentTable,
     NetworkSource,
     SweepSpec,
@@ -14,6 +17,7 @@ from netepi.experiments import (
     experiment_intervention_timing,
     experiment_scope_sweep,
     experiment_sirs,
+    _count_peaks,
     run_replicates,
 )
 
@@ -210,6 +214,56 @@ class TestCountWaves:
 
     def test_too_short(self):
         assert count_waves(np.array([0.0, 1.0]), np.array([0.1, 0.2]), 0.5) == 0
+
+
+def _scipy_count(x, height, prominence):
+    return len(find_peaks(np.asarray(x, dtype=np.float64), height=height, prominence=prominence)[0])
+
+
+class TestCountPeaksMatchesScipy:
+    """_count_peaks counts what scipy.signal.find_peaks keeps."""
+
+    @pytest.mark.parametrize("x", [
+        [0.0, 1.0, 0.0],
+        [1.0, 0.0, 1.0],             # the ends are never peaks
+        [0.0, 2.0, 1.0, 3.0],        # a peak next to each edge
+        [0.0, 1.0, 1.0, 1.0, 0.0],   # a plateau counts once
+        [0.0, 1.0, 1.0, 2.0, 0.0],   # a shelf is not a peak
+        [0.0, 1.0, 1.0],             # a plateau that runs to the end
+        [0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0],
+        [2.0, 2.0, 2.0, 2.0],
+        [],
+        [5.0],
+        [0.0, 1.0],
+    ])
+    @pytest.mark.parametrize("height,prominence", [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.5, 1.5)])
+    def test_edge_cases(self, x, height, prominence):
+        assert _count_peaks(x, height, prominence) == _scipy_count(x, height, prominence)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_curves_with_plateaus(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            n = int(rng.integers(3, 80))
+            # Rounding to one or two decimals makes ties and plateaus common.
+            x = np.round(np.cumsum(rng.normal(size=n)) * rng.uniform(0.1, 1.0), int(rng.integers(1, 3)))
+            peaks = find_peaks(x)[0]
+            heights = x[peaks].tolist() + [float(np.median(x))]
+            proms = peak_prominences(x, peaks)[0].tolist() + [0.0, 0.05]
+            # Thresholds equal to a peak's own height or prominence sit on the boundary.
+            for h in rng.choice(heights, size=min(3, len(heights)), replace=False).tolist():
+                for p in rng.choice(proms, size=min(3, len(proms)), replace=False).tolist():
+                    assert _count_peaks(x.tolist(), h, p) == _scipy_count(x, h, p)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_smoothed_noisy_waves(self, seed):
+        # exp04's input: a moving average of a noisy, damped infected fraction.
+        rng = np.random.default_rng(seed)
+        t = np.linspace(0.0, 100.0, 1001)
+        i = 0.05 - 0.04 * np.exp(-t / 30) * np.cos(2 * np.pi * t / 12) + rng.normal(0, 0.01, t.size)
+        smoothed = np.convolve(i, np.ones(7) / 7, mode="same")
+        for h, p in [(WAVE_MIN_HEIGHT, WAVE_MIN_PROMINENCE), (0.0, 0.0), (0.05, 0.02)]:
+            assert _count_peaks(smoothed.tolist(), h, p) == _scipy_count(smoothed, h, p)
 
 
 class TestExperimentSirs:

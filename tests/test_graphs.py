@@ -3,7 +3,9 @@ import io
 
 import numpy as np
 import pytest
+from scipy import special
 
+from netepi import graphs
 from netepi.errors import (
     EdgeListFormatError,
     ParameterError,
@@ -381,6 +383,37 @@ class TestPowerLawFit:
         with pytest.raises(PowerLawFitError) as err:
             fit_power_law(g, k_min=2)
         assert err.value.tail_size < 10
+
+
+class TestHurwitzZeta:
+    """_hurwitz_zeta returns the very double scipy.special.zeta(x, q) does."""
+
+    @pytest.mark.parametrize("x", [1.0001, 1.01, 1.5, 2.0, 2.5, 2.9, 3.0, 4.2, 7.0, 12.5, 40.0])
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 8, 9, 10, 11, 40, 1000, 30000, 10**8])
+    def test_grid(self, x, q):
+        assert graphs._hurwitz_zeta(x, float(q)) == special.zeta(x, q)
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(11)
+        xs = rng.uniform(1.0, 8.0, 2000)
+        qs = rng.integers(1, 5000, 2000)
+        for x, q in zip(xs.tolist(), qs.tolist()):
+            if x > 1.0:
+                assert graphs._hurwitz_zeta(x, float(q)) == special.zeta(x, q), (x, q)
+
+    @pytest.mark.parametrize("make", [
+        lambda seed: generate_ba(30000, 5, seed=seed),
+        lambda seed: generate_er(3000, 0.003, seed=seed),
+    ], ids=["ba30000", "er3000"])
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_every_fit_call(self, monkeypatch, make, seed):
+        seen = []
+        zeta = graphs._hurwitz_zeta
+        monkeypatch.setattr(graphs, "_hurwitz_zeta", lambda x, q: seen.append((x, q)) or zeta(x, q))
+        graphs.fit_power_law(make(seed))
+        assert seen
+        for x, q in seen:
+            assert zeta(x, q) == special.zeta(x, q), (x, q)
 
 
 class TestClassifyScaleFree:
