@@ -199,14 +199,16 @@ def _observe(traj, point: dict) -> dict:
 def _one_replicate(args: dict) -> list[dict]:
     """One replicate at every point of its source, one result per point.
 
-    The graph and initial state are built once and shared by all points.
+    The graph (`args["graph"]`, an edge list read once per sweep, or else
+    built from the replicate's seed) and initial state are built once and
+    shared by all points.
     Module-level so a process pool can pickle it.
     """
     source: NetworkSource = args["source"]
     graph_seed, init_seed, run_seed = _replicate_seeds(args["base_seed"], args["index"])
     fraction, t_max = args["initial_fraction"], args["t_max"]
     if source.kind != "well_mixed":
-        g = source.build_graph(graph_seed)
+        g = args["graph"] or source.build_graph(graph_seed)
         state = init_state(g, fraction, init_seed)
     out = []
     for point in args["points"]:
@@ -261,8 +263,10 @@ def _sweep(spec: SweepSpec, plan: Sequence[tuple[NetworkSource, list[dict]]]) ->
     plan = [(source, points) for source, points in plan if points]
     shared = {"base_seed": spec.base_seed, "initial_fraction": spec.initial_fraction,
               "t_max": spec.t_max}
-    tasks = [{**shared, "source": source, "index": i, "points": points}
-             for source, points in plan for i in range(spec.replicates)]
+    # An edge list is the same graph for every replicate: read it once.
+    loaded = [source.build_graph(0) if source.kind == "edge_list" else None for source, _ in plan]
+    tasks = [{**shared, "source": source, "graph": graph, "index": i, "points": points}
+             for (source, points), graph in zip(plan, loaded) for i in range(spec.replicates)]
     results = iter(_run_batch(tasks))
     grouped = []
     for _, points in plan:

@@ -7,8 +7,11 @@ Node ids are dense integers 0..n-1.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import logging
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain
 from typing import IO, Iterable, Optional
@@ -27,16 +30,53 @@ logger = logging.getLogger(__name__)
 MIN_TAIL_SIZE = 10  # smallest tail sample the power-law fit accepts
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph in adjacency-list form."""
+    """Undirected simple graph in CSR form: node v's neighbours are
+    `indices[indptr[v]:indptr[v + 1]]`, ascending. Both arrays are int64 and
+    read-only; `adjacency` holds the same lists as tuples, built on first use.
+    """
 
-    adjacency: tuple[tuple[int, ...], ...]
-    edge_count: int
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, edge_count: int):
+        indptr, indices = np.asarray(indptr, np.int64), np.asarray(indices, np.int64)
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        self.__dict__.update(indptr=indptr, indices=indices, edge_count=edge_count)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Graph is immutable: cannot set {name!r}")
+
+    def __reduce__(self):  # pickles the arrays, never the derived tuples
+        return Graph, (self.indptr, self.indices, self.edge_count)
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.edge_count == other.edge_count and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
+
+    def __hash__(self) -> int:
+        return self._digest
+
+    def __repr__(self) -> str:
+        return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
+
+    @functools.cached_property
+    def _digest(self) -> int:
+        h = hashlib.blake2b(self.indptr, digest_size=8)
+        h.update(self.indices)
+        return int.from_bytes(h.digest(), "little")
+
+    @functools.cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbour tuples, built once per graph for the Python loops that
+        walk them; one int object per node id, shared by every tuple holding it."""
+        bounds = self.indptr.tolist()
+        flat = np.array(range(self.node_count), dtype=object)[self.indices].tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @property
     def node_count(self) -> int:
-        return len(self.adjacency)
+        return len(self.indptr) - 1
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> "Graph":
@@ -64,26 +104,25 @@ class Graph:
         keys = np.sort(lo.astype(np.int64) * n + hi.astype(np.int64))  # np.unique: 50x slower
         keys = keys[np.diff(keys, prepend=-1) != 0]
         src, dst = np.divmod(np.sort(np.concatenate([keys, keys % n * n + keys // n])), n)
-        bounds = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))]).tolist()
-        # One int object per node id, shared by every tuple that holds it.
-        flat = np.array(range(n), dtype=object)[dst].tolist()
-        return Graph(tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])), len(keys))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        return Graph(indptr, dst, len(keys))
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) array of rows u < v, in `edges()` order."""
         src = np.repeat(np.arange(self.node_count), self.degrees())
-        dst = np.fromiter(chain.from_iterable(self.adjacency), np.int64, len(src))
-        return np.column_stack([src, dst])[src < dst]
+        upper = src < self.indices
+        return np.column_stack([src[upper], self.indices[upper]])
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted (u, v) pairs with u < v."""
         return list(zip(*self.edge_array().T.tolist()))
 
     def degrees(self) -> np.ndarray:
-        return np.fromiter(map(len, self.adjacency), np.int64, self.node_count)
+        return np.diff(self.indptr)
 
     def degree(self, node: int) -> int:
-        return len(self.adjacency[node])
+        return int(self.indptr[node + 1] - self.indptr[node])
 
 
 @dataclass(frozen=True)
@@ -190,15 +229,46 @@ def generate_ba(n: int, m: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+# A first line "# nodes: N" (N at most 18 digits), ended as str.splitlines ends lines.
+_HEADER = re.compile(r"# nodes: ([0-9]{1,18})(?=[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]|\Z)")
+_MAX_ID_DIGITS = 18  # so every id of plain text fits in int64
+
+
 def load_edge_list(text: str | IO[str], compact_ids: bool = False) -> Graph:
     """Parse an edge list: one "u v" pair per line, '#' starts a comment.
 
     Duplicate lines and reversed duplicates collapse to a single edge;
-    self-loops are skipped (counted in a warning). Node count is max id + 1
-    unless compact_ids remaps ids to a dense 0..n-1 range.
+    self-loops are skipped (counted in a warning). Node count is the N of a
+    first line "# nodes: N" (as `save_edge_list` writes; an id >= N is an
+    error), else max id + 1, unless compact_ids remaps ids to a dense
+    0..n-1 range (and ignores the header).
+
+    Plain text (ASCII digits, spaces, tabs and newlines outside comments,
+    two ids of at most 18 digits per non-empty line) is parsed whole; any
+    other text goes through the line-by-line parser, which names the line
+    of any error.
     """
     if hasattr(text, "read"):
         text = text.read()
+    header = None if compact_ids else _HEADER.match(text)
+    declared = int(header[1]) if header else None
+    parsed = _parse_plain(text, declared)
+    pairs, self_loops = parsed if parsed is not None else _parse_lines(text, declared)
+    if self_loops:
+        logger.warning("skipped %d self-loop line(s)", self_loops)
+    if compact_ids:
+        uniq, ids = np.unique(pairs.ravel(), return_inverse=True)
+        return Graph.from_edges(len(uniq), ids.reshape(-1, 2))
+    if declared is not None:
+        return Graph.from_edges(declared, pairs)
+    return Graph.from_edges(int(pairs.max()) + 1 if len(pairs) else 0, pairs)
+
+
+def _parse_lines(text: str, declared: Optional[int]) -> tuple[np.ndarray, int]:
+    """(u, v) rows without self-loops, and the self-loop count, line by line."""
+    limit = 1 << 63 if declared is None else declared
+    beyond = "node ids must be below " + (
+        "2**63" if declared is None else f"the declared node count {declared}")
     us, vs = [], []
     self_loops = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -213,28 +283,52 @@ def load_edge_list(text: str | IO[str], compact_ids: bool = False) -> Graph:
             raise EdgeListFormatError(lineno, raw, "node ids must be integers") from None
         if u < 0 or v < 0:
             raise EdgeListFormatError(lineno, raw, "node ids must be non-negative")
+        if max(u, v) >= limit:
+            raise EdgeListFormatError(lineno, raw, beyond)
         if u == v:
             self_loops += 1
             continue
         us.append(u)
         vs.append(v)
-    if self_loops:
-        logger.warning("skipped %d self-loop line(s)", self_loops)
-    if not us:
-        return Graph.from_edges(0, [])
-    ids = np.array([us, vs])
-    if compact_ids:
-        uniq, ids = np.unique(ids.ravel(), return_inverse=True)
-        n = len(uniq)
-    else:
-        n = int(ids.max()) + 1
-    return Graph.from_edges(n, ids.reshape(2, -1).T)
+    return np.array([us, vs], dtype=np.int64).T, self_loops
+
+
+def _parse_plain(text: str, declared: Optional[int]) -> Optional[tuple[np.ndarray, int]]:
+    """What `_parse_lines` returns, from one C-level parse of the whole text;
+    None unless the text is plain and parses without error."""
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    # Line breaks of str.splitlines other than \n and \r\n would split lines and end comments.
+    if any(c in raw for c in (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")) or (
+            b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")):
+        return None
+    body = re.sub(rb"#[^\n]*", b"", raw) if b"#" in raw else raw
+    if body.translate(None, b"0123456789 \t\r\n"):
+        return None
+    chars = np.frombuffer(body, dtype=np.uint8)
+    # Token bounds: where the digit mask flips, starts and ends alternating.
+    bounds = np.flatnonzero(np.diff(chars >= ord("0"), prepend=False, append=False))
+    starts, ends = bounds[0::2], bounds[1::2]
+    if not len(starts):  # np.fromstring would read whitespace-only text as [0]
+        return np.empty((0, 2), dtype=np.int64), 0
+    line = np.searchsorted(np.flatnonzero(chars == ord("\n")), starts)
+    if len(starts) % 2 or (ends - starts).max() > _MAX_ID_DIGITS \
+            or np.any(line[0::2] != line[1::2]) or np.any(line[1:-1:2] == line[2::2]):
+        return None  # a line with 1 or 3+ ids, or an id that may not fit in int64
+    pairs = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2)  # sep=" ": any whitespace
+    if declared is not None and pairs.max() >= declared:
+        return None  # the line loop names the line
+    loops = pairs[:, 0] == pairs[:, 1]
+    self_loops = int(np.count_nonzero(loops))
+    return (pairs[~loops] if self_loops else pairs), self_loops
 
 
 def save_edge_list(g: Graph, stream: IO[str]) -> None:
-    """Write the "u v" per-line format load_edge_list reads."""
-    us, vs = g.edge_array().T.tolist()
-    stream.write(f"# nodes: {g.node_count}\n" + "".join([f"{u} {v}\n" for u, v in zip(us, vs)]))
+    """Write the "u v" per-line format load_edge_list reads, under a
+    "# nodes: N" header."""
+    ids = tuple(g.edge_array().ravel().tolist())
+    stream.write(f"# nodes: {g.node_count}\n" + ("%d %d\n" * g.edge_count) % ids)
 
 
 def density(g: Graph) -> float:

@@ -132,6 +132,28 @@ class TestMetrics:
         path.write_text("0 1\nbroken\n")
         assert run_cli("metrics", str(path)) == EXIT_INPUT
 
+    @pytest.mark.parametrize("text, line", [
+        ("0 1\n2 99999999999999999999\n", 2),
+        ("# nodes: 3\n0 1\n1 3\n", 3),
+    ], ids=["id-beyond-int64", "id-beyond-header"])
+    def test_bad_id_names_its_line(self, tmp_path, capsys, text, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert run_cli("metrics", str(path)) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: line {line}: node ids must be below")
+
+    def test_generate_then_metrics_keeps_isolated_nodes(self, tmp_path, capsys):
+        # ER(50, 0.02, seed 1) leaves its last node isolated.
+        path = tmp_path / "er.txt"
+        assert run_cli("generate", "--model", "er", "--n", "50", "--p", "0.02", "--seed", "1",
+                       "--out", str(path)) == EXIT_OK
+        assert run_cli("metrics", str(path)) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        g = graphs.generate_er(50, 0.02, seed=1)
+        assert g.degree(49) == 0
+        assert (report["nodes"], report["edges"]) == (50, g.edge_count)
+        assert report["density"] == 2 * g.edge_count / (50 * 49)
+
 
 class TestSimulate:
     def config(self, tmp_path, **overrides):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -179,6 +180,21 @@ class TestReplicateMajor:
         with pytest.raises(ParameterError):
             experiment_intervention_timing([1.0, 12.0], n=100, m=3, replicates=1, t_max=10.0)
         assert builds == []
+
+    def test_edge_list_read_once_per_sweep(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("NETEPI_WORKERS", raising=False)
+        path = tmp_path / "ba.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            graphs.save_edge_list(graphs.generate_ba(200, 3, seed=2), fh)
+        reads = self._count_calls(monkeypatch, graphs, "load_edge_list")
+        spec = SweepSpec(networks=[NetworkSource.edge_list(str(path), label="BA")],
+                         betas=[0.4, 1.0], replicates=5, base_seed=3, t_max=5.0)
+        buf = io.StringIO()
+        experiment_scope_sweep(spec).write_csv(buf)
+        assert len(reads) == 1
+        # The table of the per-replicate reads this replaced.
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+            "05a8b05c1ab797471744a728b033f18b232eb93d2d02c0191497390a7b316a12")
 
     def test_sweep_rows_equal_single_point_rows(self):
         spec = SweepSpec(

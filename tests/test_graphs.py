@@ -1,8 +1,13 @@
 import hashlib
 import io
+import logging
+import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from netepi import graphs
@@ -35,7 +40,8 @@ def complete_graph(n):
 
 
 def reference_from_edges(n, edges):
-    """The set-per-node builder `Graph.from_edges` replaced, kept as its reference."""
+    """The set-per-node builder `Graph.from_edges` replaced, kept as its reference:
+    the (adjacency, edge_count) the built graph must have."""
     adj = [set() for _ in range(n)]
     m = 0
     for u, v in edges:
@@ -47,7 +53,7 @@ def reference_from_edges(n, edges):
             adj[u].add(v)
             adj[v].add(u)
             m += 1
-    return Graph(tuple(tuple(sorted(s)) for s in adj), m)
+    return tuple(tuple(sorted(s)) for s in adj), m
 
 
 MALFORMED = "edges must be (u, v) pairs of integer node ids"
@@ -70,7 +76,8 @@ class TestFromEdges:
         inputs = [pairs, iter(pairs), array]
         if error is None:
             built = [Graph.from_edges(n, edges) for edges in inputs]
-            assert built[0] == built[1] == built[2] == reference_from_edges(n, pairs)
+            assert built[0] == built[1] == built[2]
+            assert (built[0].adjacency, built[0].edge_count) == reference_from_edges(n, pairs)
         else:
             for edges in inputs:
                 with pytest.raises(ParameterError) as err:
@@ -100,9 +107,9 @@ class TestFromEdges:
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         as_tuples = [tuple(p) for p in pairs.tolist()]
         want = reference_from_edges(40, as_tuples)
-        assert Graph.from_edges(40, pairs) == want
-        assert Graph.from_edges(40, as_tuples) == want
-        assert Graph.from_edges(40, pairs.astype(np.uint32)) == want
+        for edges in (pairs, as_tuples, pairs.astype(np.uint32)):
+            g = Graph.from_edges(40, edges)
+            assert (g.adjacency, g.edge_count) == want
         assert Graph.from_edges(40, pairs).edges() == sorted({(min(p), max(p)) for p in as_tuples})
 
     def test_neighbour_ids_are_shared_objects(self):
@@ -250,11 +257,11 @@ class TestLoadEdgeList:
 
     def test_compact_ids_keep_id_order(self):
         g = load_edge_list("100 7\n7 50  # c\n\n50 7\n", compact_ids=True)
-        assert g == Graph(((1, 2), (0,), (0,)), 2)
+        assert (g.adjacency, g.edge_count) == (((1, 2), (0,), (0,)), 2)
 
     def test_self_loops_skipped_with_warning(self, caplog):
         g = load_edge_list("0 1\n2 2\n3 3\n")
-        assert g == Graph(((1,), (0,)), 1)
+        assert (g.adjacency, g.edge_count) == (((1,), (0,)), 1)
         assert "skipped 2 self-loop line(s)" in caplog.text
 
     def test_round_trip(self):
@@ -264,11 +271,191 @@ class TestLoadEdgeList:
         g2 = load_edge_list(buf.getvalue())
         assert g.edges() == g2.edges()
 
+    def test_header_keeps_trailing_isolated_nodes(self):
+        g = generate_er(50, 0.02, seed=1)
+        assert g.degree(49) == 0
+        text = edge_list_text(g)
+        assert text.startswith("# nodes: 50\n")
+        assert load_edge_list(text) == g
+        assert load_edge_list(text, compact_ids=True).node_count < 50  # compact ids drop them
+
+    def test_header_bounds_the_ids(self):
+        with pytest.raises(EdgeListFormatError) as err:
+            load_edge_list("# nodes: 3\n0 1\n1 2\n2 3\n")
+        assert err.value.line_number == 4
+        assert "declared node count 3" in str(err.value)
+
+    def test_id_beyond_int64_names_its_line(self):
+        with pytest.raises(EdgeListFormatError) as err:
+            load_edge_list("0 1\n2 99999999999999999999\n")
+        assert err.value.line_number == 2
+
 
 def edge_list_text(g):
     buf = io.StringIO()
     save_edge_list(g, buf)
     return buf.getvalue()
+
+
+def read_outcome(text, compact_ids=False, whole_text=True):
+    """What load_edge_list gives: the graph, or the error's type, line and
+    message; plus the log messages. whole_text=False forces the line loop."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    log = logging.getLogger("netepi.graphs")
+    log.addHandler(handler)
+    plain = graphs._parse_plain if whole_text else (lambda text, declared: None)
+    try:
+        with mock.patch.object(graphs, "_parse_plain", plain):
+            try:
+                result = load_edge_list(text, compact_ids=compact_ids)
+            except Exception as exc:
+                result = (type(exc), getattr(exc, "line_number", None), str(exc))
+    finally:
+        log.removeHandler(handler)
+    return result, [r.getMessage() for r in records]
+
+
+def takes_whole_text_path(text, compact_ids=False):
+    header = None if compact_ids else graphs._HEADER.match(text)
+    return graphs._parse_plain(text, int(header[1]) if header else None) is not None
+
+
+# text, parsed whole?, (node count, edges) or the error's line number
+AWKWARD_INPUTS = [
+    ("0 1\r\n1 2\r\n", True, (3, [(0, 1), (1, 2)])),
+    ("0 1\r1 2\n", False, (3, [(0, 1), (1, 2)])),
+    ("0 1\v1 2", False, (3, [(0, 1), (1, 2)])),
+    ("0 1\f1 2", False, (3, [(0, 1), (1, 2)])),
+    ("0 1\x1c1 2", False, (3, [(0, 1), (1, 2)])),
+    ("0 1\x851 2", False, (3, [(0, 1), (1, 2)])),
+    ("0 1 # \v 2\n", False, 2),  # \v ends the comment: " 2" is a line of one id
+    ("0 1 # c\r2 3\n", False, (4, [(0, 1), (2, 3)])),  # so does a lone \r
+    ("0\u00a01\n", False, (2, [(0, 1)])),
+    ("\u0663 0\n", False, (4, [(0, 3)])),
+    ("+5 0\n", False, (6, [(0, 5)])),
+    ("1_0 0\n", False, (11, [(0, 10)])),
+    ("0000000000000000001 2\n", False, (3, [(1, 2)])),
+    ("000000000000000001 2\n", True, (3, [(1, 2)])),
+    ("\t0\t1 \t\n\t \n1\t2\t", True, (3, [(0, 1), (1, 2)])),
+    ("0 1\n# final comment", True, (2, [(0, 1)])),
+    ("0 1#c\n1 2  # c # c\n", True, (3, [(0, 1), (1, 2)])),
+    ("", True, (0, [])),
+    ("   \n\t\n", True, (0, [])),
+    ("# only\n#comments\n", True, (0, [])),
+    ("0 1\n2\n", False, 2),
+    ("0 1 2\n", False, 1),
+    ("0 1 2\n3\n", False, 1),
+    ("0\n1\n", False, 1),
+    ("0 1 2 3\n", False, 1),
+    ("0 1\n0 -1\n", False, 2),
+    ("0 x\n", False, 1),
+    ("2 99999999999999999999\n", False, 1),
+    ("0 1\n2 2\n3 3\n", True, (2, [(0, 1)])),
+    ("# nodes: 5\n0 1\n", True, (5, [(0, 1)])),
+    ("# nodes: 5\r\n0 1\r\n", True, (5, [(0, 1)])),
+    ("# nodes: 5\v0 1\n", False, (5, [(0, 1)])),
+    ("# nodes: 2\n0 1\n1 2\n", False, 3),
+    ("# nodes: 2\n0 1\n2 2\n", False, 3),  # range before self-loop
+    ("# nodes: 5 \n0 1\n", True, (2, [(0, 1)])),  # not exactly a header
+    ("#nodes: 5\n0 1\n", True, (2, [(0, 1)])),
+    ("0 1\n# nodes: 5\n", True, (2, [(0, 1)])),  # only the first line declares
+]
+
+
+class TestWholeTextReader:
+    """The whole-text path gives what the line loop gives, on every input."""
+
+    @pytest.mark.parametrize("text, whole, expected", AWKWARD_INPUTS,
+                             ids=[repr(case[0])[:24] for case in AWKWARD_INPUTS])
+    def test_awkward_inputs(self, text, whole, expected):
+        assert takes_whole_text_path(text) == whole
+        outcome = read_outcome(text)
+        assert outcome == read_outcome(text, whole_text=False)
+        result, _ = outcome
+        if isinstance(expected, int):
+            assert result[:2] == (EdgeListFormatError, expected)
+        else:
+            assert (result.node_count, result.edges()) == expected
+
+    def test_self_loop_warning_on_both_paths(self):
+        text = "0 1\n2 2\n3 3\n"
+        assert takes_whole_text_path(text)
+        for whole in (True, False):
+            assert read_outcome(text, whole_text=whole)[1] == ["skipped 2 self-loop line(s)"]
+
+    def test_large_saved_graph_takes_whole_text_path(self):
+        g = generate_ba(2000, 3, seed=5)
+        text = edge_list_text(g)
+        assert takes_whole_text_path(text)
+        assert read_outcome(text) == read_outcome(text, whole_text=False) == (g, [])
+
+    @settings(max_examples=400, deadline=None)
+    @given(lines=st.data(), plain=st.booleans(),
+           header=st.sampled_from(["", "", "# nodes: 13\n", "# nodes: 4\r\n", "# nodes: 20\x85"]),
+           drop_last=st.booleans(), compact_ids=st.booleans())
+    def test_paths_agree(self, lines, plain, header, drop_last, compact_ids):
+        # Half the examples use plain pieces only; ids stay small, so no graph is large.
+        ids = st.sampled_from(["0", "1", "2", "3", "5", "7", "12", "000000000000000009"])
+        odd = st.sampled_from(["+5", "1_0", "\u0663", "-1", "x", "0000000000000000001",
+                               "99999999999999999999"])
+        pieces = st.tuples(
+            st.sampled_from([0, 2, 2] if plain else [0, 2, 2, 1, 3]).flatmap(
+                lambda k: st.lists(ids if plain else ids | odd, min_size=k, max_size=k)),
+            st.sampled_from([" ", "\t", " \t "] + ([] if plain else ["\u00a0"])),
+            st.sampled_from(["", "", "#", "# c", "# nodes: 9"]
+                            + ([] if plain else ["#\x1c", "#\r", "# \u00e9"])),
+            st.sampled_from(["\n", "\n", "\r\n"]
+                            + ([] if plain else ["\r", "\v", "\f", "\x1c", "\x1e", "\x85",
+                                                 "\u2028"])),
+        )
+        text = header + "".join(sep + sep.join(line) + sep + comment + end for line, sep, comment, end
+                                in lines.draw(st.lists(pieces, max_size=8)))
+        text = text[:-1] if drop_last else text
+        assert (read_outcome(text, compact_ids) ==
+                read_outcome(text, compact_ids, whole_text=False))
+
+
+class TestCsr:
+    def test_arrays_are_read_only(self):
+        g = generate_ba(100, 2, seed=1)
+        with pytest.raises(ValueError):
+            g.indices[0] = 5
+        with pytest.raises(ValueError):
+            g.indptr[1] = 0
+        with pytest.raises(AttributeError):
+            g.edge_count = 3
+        assert g.indices.dtype == g.indptr.dtype == np.int64
+
+    def test_pickle_round_trip_without_tuples(self):
+        g = generate_ba(300, 3, seed=2)
+        before = pickle.dumps(g)
+        assert len(g.adjacency) == 300
+        assert pickle.dumps(g) == before  # the derived tuples are not sent
+        h = pickle.loads(before)
+        assert h == g and hash(h) == hash(g)
+        assert not h.indices.flags.writeable
+        assert h.adjacency == g.adjacency
+
+    def test_equal_graphs_hash_equal(self):
+        a, b = generate_er(200, 0.05, seed=3), generate_er(200, 0.05, seed=3)
+        assert a is not b and a == b and hash(a) == hash(b)
+        c = generate_er(200, 0.05, seed=4)
+        assert a != c and hash(a) != hash(c)
+        assert Graph.from_edges(3, []) != Graph.from_edges(4, [])
+        assert a != a.edges()
+
+    def test_adjacency_is_derived_once_on_use(self):
+        g = generate_ba(500, 3, seed=4)
+        assert "adjacency" not in vars(g)
+        adj = g.adjacency
+        assert g.adjacency is adj
+        src = np.repeat(np.arange(g.node_count), g.degrees())
+        assert (adj, g.edge_count) == reference_from_edges(g.node_count, zip(src, g.indices))
+        assert [len(nbrs) for nbrs in adj] == g.degrees().tolist()
+        assert all(g.degree(v) == len(adj[v]) for v in range(g.node_count))
+        assert g.edges() == sorted((u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v)
 
 
 class TestIdentityAtScale:
