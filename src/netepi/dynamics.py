@@ -12,10 +12,12 @@ A waning-immunity rate of zero turns SIRS into plain SIR everywhere.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
 from itertools import chain
+from operator import length_hint
 from typing import IO, Optional, Sequence
 
 import numpy as np
@@ -98,14 +100,41 @@ class _ReplayedDraws:
     applies numpy's Lemire rule: x = bits * h until x % 2**32 >= 2**32 % h,
     then x >> 32 (the rule `graphs.generate_ba` replays). integers(1) takes
     no bits. Exact for 1 <= h < 2**32 only; numpy draws differently above.
+
+    `unread` words are read before the bit generator's, and `high` is a
+    buffered high half; `clone` passes both on.
     """
 
-    __slots__ = ("_word", "_high")
+    __slots__ = ("_bits", "_block", "_word", "_high")
 
-    def __init__(self, bit_generator: np.random.BitGenerator):
-        self._word = chain.from_iterable(
-            iter(lambda: bit_generator.random_raw(8192).tolist(), None)).__next__
-        self._high = None
+    def __init__(self, bit_generator: np.random.BitGenerator, unread: Sequence[int] = (),
+                 high: Optional[int] = None):
+        # _block holds the words being read and their list iterator. The
+        # block generator refers to this holder, never to self: a method of
+        # self in the word chain would be a reference cycle, which keeps
+        # every block alive until the cyclic collector runs.
+        block = [list(unread), None]
+        block[1] = iter(block[0])
+
+        def blocks():
+            while True:
+                yield block[1]
+                block[0] = bit_generator.random_raw(8192).tolist()
+                block[1] = iter(block[0])
+
+        self._bits, self._block, self._high = bit_generator, block, high
+        self._word = chain.from_iterable(blocks()).__next__
+
+    def clone(self, back: int = 0) -> "_ReplayedDraws":
+        """An independent copy that draws what this one draws next, or from
+        `back` words earlier in the current block: back = 1 right after
+        random() undoes it, as it took one word and left the high half alone.
+        The position is the bit generator's state (past the current block),
+        the block's unread words and the buffered high half."""
+        words, it = self._block
+        bits = type(self._bits)()
+        bits.state = self._bits.state
+        return _ReplayedDraws(bits, words[len(words) - length_hint(it) - back:], self._high)
 
     def random(self) -> float:
         return (self._word() >> 11) * 2.0 ** -53
@@ -185,6 +214,14 @@ class CompartmentState:
             raise StateError("intervention changed the node count")
         self.graph = graph
         self._rebuild_caches()
+
+    def rebound(self, graph: Graph) -> "CompartmentState":
+        """A copy of these labels and counts on `graph`, caches rebuilt by
+        `rebind_graph`; this state is left as it is."""
+        twin = copy.copy(self)
+        twin._lab = bytearray(self._lab)
+        twin.rebind_graph(graph)
+        return twin
 
     def infect(self, v: int) -> None:
         lab, items, pos = self._lab, self.si_edges.items, self.si_edges.pos
@@ -399,8 +436,38 @@ class WellMixedPopulation:
 _CODE_CHANGES = np.array([[-1, 1, 0], [0, -1, 1], [1, 0, -1], [0, 0, 0]], dtype=np.int64)
 
 
+class _SharedPrefix:
+    """The intervention-free run of one (graph, initial state, rates, t_max,
+    seed), kept across the `gillespie_run` calls of points that differ only
+    in their interventions.
+
+    It is paused at time t where the last call that ran on it left it:
+    before the draw whose waiting time crossed that call's trigger or
+    t_max, or where the run absorbed. A call whose first trigger falls
+    after t resumes it there; any other call restarts it from the initial
+    state. `_run_events` forks the caller off it at its trigger.
+    """
+
+    __slots__ = ("run", "t", "pop", "rng", "times", "codes")
+
+    def __init__(self):
+        self.run: Optional[tuple] = None  # (g, init, params, t_max, seed)
+        self.t = math.inf  # nothing held: the first call restarts it
+
+    def resume(self, run: tuple, first_trigger: float) -> None:
+        """Keep the held run for a call of `run` whose first trigger falls
+        after its pause; otherwise restart it from `run`'s initial state."""
+        if run != self.run or not first_trigger > self.t:
+            _, init, _, _, seed = run
+            self.run, self.t = run, 0.0
+            self.pop = init.copy()
+            self.rng = _ReplayedDraws(np.random.default_rng(seed).bit_generator)
+            self.times, self.codes = [0.0], bytearray()
+
+
 def _run_events(pop: CompartmentState | WellMixedPopulation, params: RateParams, t_max: float,
-                seed: int, pending: list, engine: str) -> Trajectory:
+                seed: int, pending: list, engine: str,
+                prefix: Optional[_SharedPrefix] = None) -> Trajectory:
     """Direct-method Gillespie loop (Gillespie 1977) on one population.
 
     The arithmetic and the draw order (waiting time, event class, target)
@@ -414,20 +481,36 @@ def _run_events(pop: CompartmentState | WellMixedPopulation, params: RateParams,
     words. A well-mixed population draws no integers: its uniforms come
     straight from `rng.random(8192)` blocks, which is cheaper per draw
     than a Python method.
+
+    With a `prefix` (network only), the loop goes on along the shared
+    intervention-free run, and `pop` only gives the first row. Up to the
+    first draw whose t + tau crosses the first trigger, both runs draw
+    alike. At that draw this run forks: the shared run pauses before it,
+    and this run goes on with the draws as they are and with copies of the
+    labels, counts, times and codes on the transformed graph. Without a
+    prefix, the same step happens in place.
     """
     if t_max <= 0:
         raise ParameterError(f"t_max must be positive, got {t_max}")
-    rng = np.random.default_rng(seed)
-    if isinstance(pop, WellMixedPopulation):
-        draw = chain.from_iterable(iter(lambda: rng.random(8192).tolist(), None)).__next__
-    else:
-        rng = _ReplayedDraws(rng.bit_generator)
-        draw = rng.random
-    beta, gamma, alpha = params.beta, params.gamma, params.alpha
     start = (pop.n_s, pop.n_i, pop.n_r)
-    t = 0.0
-    times = [0.0]
-    codes = bytearray()
+    if prefix is not None:
+        pop, rng, t, times, codes = prefix.pop, prefix.rng, prefix.t, prefix.times, prefix.codes
+        draw = rng.random
+    else:
+        rng = np.random.default_rng(seed)
+        if isinstance(pop, WellMixedPopulation):
+            draw = chain.from_iterable(iter(lambda: rng.random(8192).tolist(), None)).__next__
+        else:
+            rng = _ReplayedDraws(rng.bit_generator)
+            draw = rng.random
+        t = 0.0
+        times = [0.0]
+        codes = bytearray()
+    # One test per draw: t + tau >= stop when it crosses the next trigger or
+    # passes t_max (x > t_max is x >= nextafter(t_max, inf) in doubles).
+    after_t_max = math.nextafter(t_max, math.inf)
+    stop = min(after_t_max, pending[0].trigger_time) if pending else after_t_max
+    beta, gamma, alpha = params.beta, params.gamma, params.alpha
     while t < t_max:
         a_inf = pop.infection_rate(beta)
         a_rec = gamma * pop.n_i
@@ -436,13 +519,20 @@ def _run_events(pop: CompartmentState | WellMixedPopulation, params: RateParams,
             # Interventions only remove edges, so an absorbed run stays absorbed.
             break
         tau = -math.log(1.0 - draw()) / a_total
-        if pending and t + tau >= pending[0].trigger_time:
+        if t + tau >= stop:
+            if prefix is not None:  # the shared run pauses before this draw
+                prefix.t, prefix.rng = t, rng.clone(back=1)
+            if not (pending and t + tau >= pending[0].trigger_time):
+                break
             spec = pending.pop(0)
+            graph = spec.apply(pop.graph)
+            if prefix is None:
+                pop.rebind_graph(graph)
+            else:
+                pop, times, codes, prefix = pop.rebound(graph), times.copy(), codes.copy(), None
             t = min(spec.trigger_time, t_max)
-            pop.rebind_graph(spec.apply(pop.graph))
+            stop = min(after_t_max, pending[0].trigger_time) if pending else after_t_max
             continue
-        if t + tau > t_max:
-            break
         t += tau
         u = draw() * a_total
         if u < a_inf:
@@ -455,6 +545,8 @@ def _run_events(pop: CompartmentState | WellMixedPopulation, params: RateParams,
             pop.wane_one(rng)
             codes.append(2)
         times.append(t)
+    if prefix is not None:
+        prefix.t = t  # the shared run ended here: absorbed, or past t_max
     if times[-1] != t:
         times.append(t)
         codes.append(3)
@@ -470,19 +562,28 @@ def gillespie_run(
     t_max: float,
     seed: int,
     interventions: Optional[Sequence[InterventionSpec]] = None,
+    prefix: Optional[_SharedPrefix] = None,
 ) -> Trajectory:
     """Exact event-driven SIR/SIRS simulation on a network.
 
     Interventions fire when the sampled event time crosses their trigger:
     the pending event is discarded (memorylessness keeps this exact), time
     jumps to the trigger, the graph is transformed and caches rebuilt.
+
+    `prefix` is a private record of the intervention-free run that calls
+    with the same arguments but other interventions may share (see
+    `_SharedPrefix`); the trajectory is the same with or without it.
     """
     if init.graph is not g:
         raise StateError("initial state was built for a different graph")
     if init.n_s + init.n_i + init.n_r != g.node_count:
         raise StateError("compartment counts do not sum to the population")
     pending = sorted(interventions or [], key=lambda iv: iv.trigger_time)
-    return _run_events(init.copy(), params, t_max, seed, pending, "network-gillespie")
+    if prefix is None:
+        return _run_events(init.copy(), params, t_max, seed, pending, "network-gillespie")
+    prefix.resume((g, init, params, t_max, seed),
+                  pending[0].trigger_time if pending else math.inf)
+    return _run_events(init, params, t_max, seed, pending, "network-gillespie", prefix)
 
 
 def gillespie_well_mixed(

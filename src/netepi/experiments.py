@@ -8,6 +8,13 @@ graph and initial state once and runs every point on them, and each
 experiment submits all its tasks as one batch. Seeds are assigned before
 dispatch, so results do not depend on execution order. Set
 NETEPI_WORKERS > 1 to run a batch in a process pool.
+
+Points of a replicate with the same rates and some intervention (exp03's
+trigger times) also share the run itself up to their first trigger: until
+then each would draw exactly what the intervention-free run draws. So the
+replicate keeps that run, paused, in a `dynamics._SharedPrefix` per rate
+set, and each point's `gillespie_run` call forks off it at its trigger
+instead of simulating the prefix again. Outputs are the same either way.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import numpy as np
 from . import graphs
 from .dynamics import (
     RateParams,
+    _SharedPrefix,
     gillespie_run,
     gillespie_well_mixed,
     init_state,
@@ -210,14 +218,17 @@ def _one_replicate(args: dict) -> list[dict]:
     if source.kind != "well_mixed":
         g = args["graph"] or source.build_graph(graph_seed)
         state = init_state(g, fraction, init_seed)
+    prefixes: dict[RateParams, _SharedPrefix] = {}
     out = []
     for point in args["points"]:
         if source.kind == "well_mixed":
             traj = gillespie_well_mixed(source.n, source.k_avg, point["params"], fraction,
                                         t_max, run_seed)
         else:
-            traj = gillespie_run(g, point["params"], state, t_max, run_seed,
-                                 interventions=point["interventions"])
+            params, interventions = point["params"], point["interventions"]
+            prefix = prefixes.setdefault(params, _SharedPrefix()) if interventions else None
+            traj = gillespie_run(g, params, state, t_max, run_seed,
+                                 interventions=interventions, prefix=prefix)
         out.append(_observe(traj, point))
     return out
 

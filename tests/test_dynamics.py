@@ -16,6 +16,7 @@ from netepi.dynamics import (
     S,
     WANING,
     _ReplayedDraws,
+    _SharedPrefix,
     abm_run,
     compute_event_rates,
     gillespie_run,
@@ -32,6 +33,7 @@ from netepi.errors import (
     StateError,
 )
 from netepi.graphs import Graph, generate_ba, generate_er
+from netepi.interventions import InterventionSpec
 from netepi.ode import FractionState, ode_sir
 
 from invariants import recount_si_edges
@@ -405,6 +407,96 @@ class TestReplayedDraws:
             else:
                 assert replay.integers(bounds[op]) == int(ref.integers(bounds[op]))
         assert raw.blocks > 3
+
+
+    @staticmethod
+    def _ops(replay, seed, count=20_000):
+        ops = np.random.default_rng(seed).integers(4, size=count).tolist()
+        return [replay.random() if op == 3 else replay.integers((1, 7, 3_000_000_000)[op])
+                for op in ops]
+
+    @pytest.mark.parametrize("words", [0, 1, 8190, 8192, 8193, 20_000])
+    @pytest.mark.parametrize("held", [False, True])
+    def test_clone_draws_what_the_original_draws(self, words, held):
+        # The clone is taken mid-block, a few words before a block boundary,
+        # on one, and before any block; with or without a buffered high half.
+        replay = _ReplayedDraws(np.random.PCG64(words))
+        for _ in range(words - held):
+            replay.random()
+        if held:
+            replay.integers(7)  # takes a word's low half, buffers its high half
+        clone = replay.clone()
+        assert (clone._high is not None) is held
+        ahead = self._ops(clone, words)
+        assert self._ops(replay, words) == ahead
+
+    @pytest.mark.parametrize("words", [1, 8191, 8192])
+    def test_clone_back_one_word_undoes_random(self, words):
+        replay = _ReplayedDraws(np.random.PCG64(3))
+        replay.integers(5)
+        for _ in range(words - 1):
+            replay.random()
+        last = replay.random()
+        clone = replay.clone(back=1)
+        assert clone.random() == last
+        assert self._ops(clone, 4) == self._ops(replay, 4)
+
+
+class TestSharedPrefix:
+    """Runs that share a `_SharedPrefix` equal fresh runs, array for array."""
+
+    @staticmethod
+    def assert_fresh_equal(g, init, t_max, seed, points):
+        # One prefix per rate set, handed to the points in call order, as
+        # `experiments._one_replicate` does.
+        prefixes = {}
+        runs = []
+        for params, interventions in points:
+            shared = gillespie_run(g, params, init, t_max, seed, interventions,
+                                   prefix=prefixes.setdefault(params, _SharedPrefix()))
+            fresh = gillespie_run(g, params, init, t_max, seed, interventions)
+            for name in ("times", "s", "i", "r"):
+                assert np.array_equal(getattr(shared, name), getattr(fresh, name)), name
+            runs.append(fresh)
+        return runs
+
+    def test_thin_unsorted_and_duplicate_triggers_at_two_sirs_rates(self):
+        g = generate_er(2000, 0.005, seed=3)
+        init = init_state(g, 0.02, seed=4)
+        rates = [RateParams(0.4, 1.0, 0.5), RateParams(0.6, 1.0, 0.3)]
+        triggers = [1.0, 0.5, 2.0, 2.0, 0.5, 6.0, 1.5]
+        points = [(rates[k % 2], [InterventionSpec(t, "thin", target=0.003, seed=1)])
+                  for k, t in enumerate(triggers * 2)]
+        runs = self.assert_fresh_equal(g, init, 8.0, 5, points)
+        assert all(np.any(np.diff(run.r) < 0) for run in runs)  # waning happened
+
+    def test_trigger_after_the_run_absorbed(self):
+        g = generate_er(200, 0.02, seed=1)
+        init = init_state(g, 3, seed=2)
+        params = RateParams(0.05, 2.0)
+        cap = [InterventionSpec(t, "degree_cap", cap=1) for t in (0.05, 5.0, 8.0)]
+        runs = self.assert_fresh_equal(g, init, 10.0, 3, [(params, [iv]) for iv in cap])
+        assert runs[1].i[-1] == 0 and runs[1].times[-1] < 5.0
+
+    def test_points_around_t_max_and_other_point_shapes(self):
+        # The intervention-free run stops at the draw past t_max, after its
+        # last event at t_last. Triggers in the gap after t_last fork off at
+        # that draw, and one past t_max re-checks it. Then points with one
+        # earlier trigger (a restart), two triggers, and none.
+        g = generate_er(300, 0.01, seed=6)
+        init = init_state(g, 2, seed=7)
+        params, t_max = RateParams(0.4, 0.3, 0.2), 6.0
+        t_last = gillespie_run(g, params, init, t_max, 5).times[-1]
+        cap = lambda t: InterventionSpec(t, "degree_cap", cap=1, seed=2)  # noqa: E731
+        gap = [(t_last + t_max) / 2, t_max - 1e-9, t_max, t_max + 1.0]
+        points = [(params, None)] + [(params, [cap(t)]) for t in gap]
+        points += [(params, [cap(1.0)]), (params, [cap(2.5), cap(1.5)]), (params, None)]
+        runs = self.assert_fresh_equal(g, init, t_max, 5, points)
+        assert len(runs[0]) > 20 and runs[0].i[-1] > 0  # not absorbed
+        assert runs[1].times[-1] > gap[0]  # the fork drew events after its trigger
+        for run, t in zip(runs[2:4], gap[1:3]):  # time jumped to the trigger: a repeated row
+            assert run.times[-1] == t
+            assert (run.s[-1], run.i[-1], run.r[-1]) == (run.s[-2], run.i[-2], run.r[-2])
 
 
 class TestGillespieWellMixed:

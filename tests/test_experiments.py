@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.signal import find_peaks, peak_prominences
 
-from netepi import graphs, interventions
+from netepi import experiments, graphs, interventions
+from netepi.dynamics import CompartmentState, _ReplayedDraws
 from netepi.errors import ParameterError
 from netepi.experiments import (
     WAVE_MIN_HEIGHT,
@@ -146,6 +148,45 @@ class TestInterventionTiming:
     def test_trigger_outside_horizon_rejected(self):
         with pytest.raises(ParameterError):
             experiment_intervention_timing([12.0], n=100, m=3, replicates=1, t_max=10.0)
+
+    def test_every_point_equals_a_fresh_run(self, monkeypatch):
+        # The points of a replicate fork off one shared prefix; unsorted and
+        # duplicate triggers on exp03's BA(3000, 20) and degree cap.
+        monkeypatch.delenv("NETEPI_WORKERS", raising=False)
+        real, runs = experiments.gillespie_run, []
+
+        def spy(*args, **kwargs):
+            runs.append((args, kwargs, real(*args, **kwargs)))
+            return runs[-1][2]
+
+        monkeypatch.setattr(experiments, "gillespie_run", spy)
+        experiment_intervention_timing([1.5, 0.25, 1.0, 1.0, 0.5], n=3000, m=20, cap=5,
+                                       initial_fraction=0.05, replicates=2, base_seed=1)
+        assert len(runs) == 10
+        for args, kwargs, traj in runs:
+            assert kwargs["prefix"] is not None
+            fresh = real(*args, interventions=kwargs["interventions"])
+            for name in ("times", "s", "i", "r"):
+                assert np.array_equal(getattr(traj, name), getattr(fresh, name)), name
+
+    def test_leaves_no_reference_cycles(self):
+        # A cycle through the shared draws would keep each run's 8192-word
+        # blocks alive until the cyclic collector ran. A cycle through a
+        # suspended generator is freed by its finalizer, which gc.collect()
+        # does not count, hence the look at what is still alive.
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            experiment_intervention_timing([0.5, 1.0, 1.5], n=300, m=4, cap=2, beta=0.3,
+                                           initial_fraction=0.05, replicates=2, t_max=4.0,
+                                           base_seed=3)
+            kept = (_ReplayedDraws, CompartmentState)
+            assert [o for o in gc.get_objects() if isinstance(o, kept)] == []
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestReplicateMajor:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import logging
@@ -446,6 +447,19 @@ class TestCsr:
         assert Graph.from_edges(3, []) != Graph.from_edges(4, [])
         assert a != a.edges()
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_adjacency_build_restores_the_collector(self, enabled):
+        g = generate_ba(2000, 3, seed=5)
+        src = np.repeat(np.arange(g.node_count), g.degrees())
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            adj = g.adjacency
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert (adj, g.edge_count) == reference_from_edges(g.node_count, zip(src, g.indices))
+
     def test_adjacency_is_derived_once_on_use(self):
         g = generate_ba(500, 3, seed=4)
         assert "adjacency" not in vars(g)
@@ -564,6 +578,17 @@ class TestPowerLawFit:
     def test_er_far_above_three(self):
         exponent = fit_power_law(generate_er(1000, 0.01, seed=1))
         assert exponent > 3.0
+
+    @pytest.mark.parametrize("degrees, exponent", [
+        (lambda: generate_ba(30000, 5, seed=1).degrees(), 2.894988954503031),
+        (lambda: generate_ba(3000, 20, seed=2).degrees(), 2.894580395206999),
+        (lambda: generate_er(3000, 0.003, seed=3).degrees(), 9.944050805359261),
+        (lambda: generate_ws(1000, 10, 0.1, seed=0).degrees(), 15.793160216961525),
+        (lambda: np.random.default_rng(5).zipf(2.5, 4000), 2.5724699542803067),
+    ], ids=["ba30000", "ba3000-20", "er3000", "ws1000", "zipf"])
+    def test_scanned_fit_is_pinned(self, degrees, exponent):
+        # The doubles the k_min scan over np.unique(degrees) gave.
+        assert fit_power_law_degrees(degrees()) == exponent
 
     def test_insufficient_tail(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
