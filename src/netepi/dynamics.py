@@ -346,6 +346,9 @@ def select_event(rates: EventRates, rng: np.random.Generator) -> str:
     return WANING
 
 
+_CSV_BLOCK = 8192  # trajectory rows converted and written at a time
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Time-stamped compartment counts emitted by any engine."""
@@ -367,8 +370,10 @@ class Trajectory:
         return self.s[idx], self.i[idx], self.r[idx]
 
     def to_csv(self, stream: IO[str]) -> None:
-        rows = zip(self.times.tolist(), self.s.tolist(), self.i.tolist(), self.r.tolist())
-        stream.write("t,S,I,R\n" + "".join(f"{t!r},{s},{i},{r}\n" for t, s, i, r in rows))
+        stream.write("t,S,I,R\n")
+        for a in range(0, len(self.times), _CSV_BLOCK):  # bounded memory on long runs
+            cols = (x[a:a + _CSV_BLOCK].tolist() for x in (self.times, self.s, self.i, self.r))
+            stream.write("".join(f"{t!r},{s},{i},{r}\n" for t, s, i, r in zip(*cols)))
 
 
 @dataclass(frozen=True)
@@ -550,9 +555,18 @@ def _run_events(pop: CompartmentState | WellMixedPopulation, params: RateParams,
     if times[-1] != t:
         times.append(t)
         codes.append(3)
-    changes = _CODE_CHANGES[np.frombuffer(codes, dtype=np.uint8)]
-    s, i, r = np.cumsum(np.vstack((start, changes)), axis=0).T.copy()
-    return Trajectory(np.asarray(times, dtype=np.float64), s, i, r, pop.n, engine, seed)
+    # One column at a time, after the list of floats is dropped (a shared
+    # prefix may still hold it): the peak is the list beside its array.
+    times = np.asarray(times, dtype=np.float64)
+    code = np.frombuffer(codes, dtype=np.uint8)
+    counts = []
+    for first, change in zip(start, _CODE_CHANGES.T):
+        col = np.empty(len(times), dtype=np.int64)
+        col[0] = first
+        np.cumsum(change[code], out=col[1:])
+        col[1:] += first
+        counts.append(col)
+    return Trajectory(times, *counts, pop.n, engine, seed)
 
 
 def gillespie_run(

@@ -69,8 +69,9 @@ class Graph:
 
     @functools.cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbour tuples, built once per graph for the Python loops that
-        walk them; one int object per node id, shared by every tuple holding it.
+        """Neighbour tuples, built once per graph for the event loop's state,
+        which walks them (the degree cap reads the CSR lists instead); one int
+        object per node id, shared by every tuple holding it.
 
         The cyclic collector is paused meanwhile: the build makes no cycles,
         but its n tuples would trigger about a third of its time in passes.

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,35 +30,48 @@ def apply_degree_cap(g: Graph, cap: int, seed: int) -> Graph:
     if cap < 0:
         raise ParameterError(f"degree cap must be >= 0, got {cap}")
     rng = np.random.default_rng(seed)
-    adj = [set(nbrs) for nbrs in g.adjacency]
-    order = sorted(range(g.node_count), key=lambda v: (-len(adj[v]), v))
-    for v in order:
-        if len(adj[v]) <= cap:
+    n, deg, bounds = g.node_count, g.degrees(), g.indptr.tolist()
+    # Edge (v, u) is cut only by v or by u, so at v's turn it is live unless
+    # u already cut and did not keep v. kept[u] is None until u cuts.
+    kept: list[Optional[set]] = [None] * n
+    cut_v, cut_u = array("q"), array("q")  # int64 buffers: no int object per cut edge
+    for v in np.argsort(-deg, kind="stable").tolist():
+        if bounds[v + 1] - bounds[v] <= cap:
+            break  # every later node starts, and so stays, at or under the cap
+        # Row by row: a list of every slot would hold an int object (36 B) per slot.
+        nbrs = g.indices[bounds[v]:bounds[v + 1]].tolist()
+        live = [u for u in nbrs if kept[u] is None or v in kept[u]]
+        if len(live) <= cap:
             continue
-        incident = sorted(adj[v])
-        rng.shuffle(incident)
-        for u in incident[cap:]:
-            adj[v].discard(u)
-            adj[u].discard(v)
-    kept = [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v]
-    return Graph.from_edges(g.node_count, np.array(kept, dtype=np.int64).reshape(-1, 2))
+        rng.shuffle(live)
+        kept[v] = set(live[:cap])
+        cut_u.extend(live[cap:])
+        cut_v.extend([v] * (len(live) - cap))
+    # One mask over the CSR slots drops each cut edge in both directions.
+    src = np.repeat(np.arange(n), deg)
+    a, b = np.frombuffer(cut_v, dtype=np.int64), np.frombuffer(cut_u, dtype=np.int64)
+    cut = np.concatenate([a * n + b, b * n + a])
+    cut.sort()  # sorted queries make a faster search
+    keep = np.ones(len(src), dtype=bool)
+    keep[np.searchsorted(src * n + g.indices, cut)] = False
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src[keep], minlength=n), out=indptr[1:])
+    return Graph(indptr, g.indices[keep], g.edge_count - len(cut_v))
 
 
 def thin_to_density(g: Graph, target: float, seed: int) -> Graph:
     """Delete uniformly random edges until density <= target.
 
     The surviving edge count is floor(target * n(n-1)/2), so the result
-    is guaranteed to be at or below the target density.
+    is guaranteed to be at or below the target density. A graph already
+    at or below it, such as one an earlier degree cap left sparse, comes
+    back unchanged.
     """
     if not 0.0 <= target <= 1.0:
         raise ParameterError(f"target density must be in [0, 1], got {target}")
-    if g.node_count >= 2 and target > density(g):
-        raise ParameterError(
-            f"target density {target} exceeds current density {density(g)}"
-        )
     n = g.node_count
     keep = math.floor(target * n * (n - 1) / 2)
-    if keep >= g.edge_count:
+    if keep >= g.edge_count or density(g) <= target:  # n < 2 stops at the first test
         return g
     rng = np.random.default_rng(seed)
     edges = g.edge_array()

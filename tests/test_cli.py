@@ -212,6 +212,23 @@ class TestSimulate:
         lines = (out / "trajectory.csv").read_text().splitlines()
         assert len(lines) == 1 + 6  # header + steps 0..5
 
+    def test_thin_after_degree_cap_runs(self, tmp_path):
+        # The cap leaves BA(500, 6) below the thin's target density; the thin
+        # is then a no-op, not a runtime failure.
+        cfg = self.config(
+            tmp_path,
+            network={"ba": {"n": 500, "m": 6}},
+            rates={"beta": 0.3, "gamma": 1.0},
+            interventions=[{"t": 1.0, "action": "degree_cap", "cap": 2},
+                           {"t": 2.0, "action": "thin", "target": 0.01}],
+        )
+        out = tmp_path / "out"
+        assert run_cli("simulate", str(cfg), "--out-dir", str(out)) == EXIT_OK
+        with open(out / "trajectory.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) > 1 and float(rows[-1]["t"]) > 2.0
+        assert all(int(row["S"]) + int(row["I"]) + int(row["R"]) == 500 for row in rows)
+
     def test_invalid_config(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\"network\": {}}")

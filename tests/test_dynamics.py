@@ -1,10 +1,12 @@
 import io
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from netepi import dynamics
 from netepi.dynamics import (
     CompartmentState,
     EventRates,
@@ -497,6 +499,59 @@ class TestSharedPrefix:
         for run, t in zip(runs[2:4], gap[1:3]):  # time jumped to the trigger: a repeated row
             assert run.times[-1] == t
             assert (run.s[-1], run.i[-1], run.r[-1]) == (run.s[-2], run.i[-2], run.r[-2])
+
+
+class TestTrajectoryArrays:
+    """The arrays every Gillespie engine returns, and what they cost."""
+
+    @staticmethod
+    def assert_layout(traj):
+        assert traj.times.dtype == np.float64
+        for name in ("times", "s", "i", "r"):
+            arr = getattr(traj, name)
+            assert arr.flags.c_contiguous, name
+            assert len(arr) == len(traj), name
+        assert traj.s.dtype == traj.i.dtype == traj.r.dtype == np.int64
+
+    def test_layout_on_both_engines_and_a_forked_prefix_run(self):
+        self.assert_layout(gillespie_well_mixed(500, 8.0, RateParams(0.3, 1.0, 0.2), 5, 10.0, 1))
+        g = generate_er(300, 0.02, seed=2)
+        init, params = init_state(g, 5, seed=3), RateParams(0.4, 1.0, 0.2)
+        self.assert_layout(gillespie_run(g, params, init, 10.0, 4))
+        prefix = _SharedPrefix()
+        for t in (1.0, 2.0):  # the first call restarts the prefix, the second resumes it
+            thin = [InterventionSpec(t, "thin", target=0.01, seed=1)]
+            forked = gillespie_run(g, params, init, 10.0, 4, thin, prefix=prefix)
+            self.assert_layout(forked)
+            assert forked.times[-1] > t
+
+    def test_traced_peak_per_event(self):
+        # The loop keeps a Python float per event (32 B with its list slot)
+        # and a one-byte code; the counts are then built one column at a
+        # time after the floats are freed. All four N x 3 arrays of a
+        # stacked cumsum alive at once would take over 100 B/event.
+        tracemalloc.start()
+        try:
+            traj = gillespie_well_mixed(10_000, 10.0, RateParams(0.3, 1.0, 0.2), 0.01, 40.0, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        events = len(traj) - 1
+        assert events >= 100_000
+        assert peak / events <= 56
+
+    @pytest.mark.parametrize("block", [1, 7, 4096, None])
+    def test_csv_blocks_join_to_one_string(self, monkeypatch, block):
+        traj = gillespie_well_mixed(1000, 10.0, RateParams(0.3, 1.0, 0.5), 0.01, 30.0, 2)
+        rows = zip(traj.times.tolist(), traj.s.tolist(), traj.i.tolist(), traj.r.tolist())
+        expected = "t,S,I,R\n" + "".join(f"{t!r},{s},{i},{r}\n" for t, s, i, r in rows)
+        if block is None:  # the default: the run crosses block boundaries
+            assert len(traj) > dynamics._CSV_BLOCK
+        else:
+            monkeypatch.setattr(dynamics, "_CSV_BLOCK", block)
+        buf = io.StringIO()
+        traj.to_csv(buf)
+        assert buf.getvalue() == expected
 
 
 class TestGillespieWellMixed:

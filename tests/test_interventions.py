@@ -6,7 +6,7 @@ import pytest
 
 from netepi.dynamics import RateParams, gillespie_run, init_state
 from netepi.errors import ConfigError, ParameterError
-from netepi.graphs import Graph, density, generate_ba, save_edge_list
+from netepi.graphs import Graph, density, generate_ba, generate_er, generate_ws, save_edge_list
 from netepi.interventions import InterventionSpec, apply_degree_cap, thin_to_density
 
 from invariants import check_graph_invariants
@@ -18,6 +18,24 @@ def star(n):
 
 def complete_graph(n):
     return Graph.from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+
+
+def reference_degree_cap(g, cap, seed):
+    """The degree cap on one Python set per node, discarding both ends of
+    every cut edge; `apply_degree_cap` must match it graph for graph."""
+    rng = np.random.default_rng(seed)
+    adj = [set(nbrs) for nbrs in g.adjacency]
+    order = sorted(range(g.node_count), key=lambda v: (-len(adj[v]), v))
+    for v in order:
+        if len(adj[v]) <= cap:
+            continue
+        incident = sorted(adj[v])
+        rng.shuffle(incident)
+        for u in incident[cap:]:
+            adj[v].discard(u)
+            adj[u].discard(v)
+    kept = [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v]
+    return Graph.from_edges(g.node_count, np.array(kept, dtype=np.int64).reshape(-1, 2))
 
 
 class TestApplyDegreeCap:
@@ -63,6 +81,20 @@ class TestApplyDegreeCap:
         with pytest.raises(ParameterError):
             apply_degree_cap(star(5), -1, seed=0)
 
+    @pytest.mark.parametrize("g", [
+        generate_ba(300, 6, seed=1),
+        generate_er(300, 0.04, seed=2),
+        generate_ws(300, 10, 0.2, seed=3),
+        Graph.from_edges(0, []),
+        Graph.from_edges(12, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 6), (6, 7)]),  # isolated 8..11
+    ], ids=["ba", "er", "ws", "empty", "isolated"])
+    def test_matches_set_reference(self, g):
+        for cap in range(31):
+            for seed in (0, 1, 2):
+                capped = apply_degree_cap(g, cap, seed)
+                assert capped == reference_degree_cap(g, cap, seed), (cap, seed)
+                assert capped.edge_count == len(capped.indices) // 2
+
 
 class TestThinToDensity:
     def test_complete_to_half(self):
@@ -79,10 +111,17 @@ class TestThinToDensity:
         thinned = thin_to_density(g, density(g) / 2, seed=3)
         assert set(thinned.edges()) <= set(g.edges())
 
-    def test_target_above_current_rejected(self):
+    def test_target_above_current_unchanged(self):
+        # As after a degree cap left the graph sparser than a later thin's target.
         g = generate_ba(100, 5, seed=2)
+        for target in (density(g), 0.9, 1.0):
+            assert thin_to_density(g, target, seed=0) == g
+        assert thin_to_density(Graph.from_edges(1, []), 0.5, seed=0).edge_count == 0
+
+    @pytest.mark.parametrize("target", [-0.1, 1.5])
+    def test_target_outside_unit_interval_rejected(self, target):
         with pytest.raises(ParameterError):
-            thin_to_density(g, 0.9, seed=0)
+            thin_to_density(complete_graph(5), target, seed=0)
 
     def test_deterministic(self):
         g = generate_ba(100, 5, seed=2)
