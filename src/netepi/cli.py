@@ -214,9 +214,9 @@ def _run_config(cfg):
 
 def _cmd_simulate(args) -> int:
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
+    result, summary = _run_config(cfg)  # first, so bad input leaves no out dir behind
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result, summary = _run_config(cfg)
     traj_path = Path(cfg.trajectory_path) if cfg.trajectory_path else out_dir / "trajectory.csv"
     with open(traj_path, "w", encoding="utf-8") as fh:
         result.to_csv(fh)
@@ -348,7 +348,7 @@ def dispatch(argv: Sequence[str]) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NetEpiError, OSError) as exc:
+    except (NetEpiError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -22,15 +22,11 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .errors import AbsorbingState, ParameterError, ProbabilityOverflowError, StateError
+from .errors import ParameterError, ProbabilityOverflowError, StateError
 from .graphs import Graph
 from .interventions import InterventionSpec
 
 S, I, R = 0, 1, 2  # compartment labels
-
-INFECTION = "infection"
-RECOVERY = "recovery"
-WANING = "waning"
 
 
 @dataclass(frozen=True)
@@ -46,19 +42,6 @@ class RateParams:
             raise ParameterError(f"rates must be finite and non-negative, got {self}")
 
 
-@dataclass(frozen=True)
-class EventRates:
-    """Per-class propensities; with the helpers below, the tests' reference for the loop."""
-
-    infection: float
-    recovery: float
-    waning: float
-
-    @property
-    def total(self) -> float:
-        return self.infection + self.recovery + self.waning
-
-
 class _IndexedSet:
     """Set with O(1) insert/remove and uniform random choice."""
 
@@ -70,9 +53,6 @@ class _IndexedSet:
 
     def __len__(self):
         return len(self.items)
-
-    def __contains__(self, x):
-        return x in self.pos
 
     def add(self, x):
         self.pos[x] = len(self.items)
@@ -201,10 +181,6 @@ class CompartmentState:
     def n(self) -> int:
         return self.graph.node_count
 
-    @property
-    def si_edge_count(self) -> int:
-        return len(self.si_edges)
-
     def copy(self) -> "CompartmentState":
         return CompartmentState(self.graph, self.labels.copy())
 
@@ -312,38 +288,6 @@ def init_state(g: Graph, initial_infected: int | float, seed: int) -> Compartmen
     labels = np.full(n, S, dtype=np.int8)
     labels[rng.choice(n, size=count, replace=False)] = I
     return CompartmentState(g, labels)
-
-
-def compute_event_rates(g: Graph, state: CompartmentState, params: RateParams) -> EventRates:
-    """Propensities on a network: infection scales with the S-I edge count."""
-    if state.graph is not g:
-        raise StateError("state was built for a different graph")
-    return EventRates(
-        infection=params.beta * state.si_edge_count,
-        recovery=params.gamma * state.n_i,
-        waning=params.alpha * state.n_r,
-    )
-
-
-def sample_waiting_time(a_total: float, rng: np.random.Generator) -> float:
-    """Exponential waiting time with rate a_total: tau = -ln(u) / a_total."""
-    if a_total <= 0:
-        raise AbsorbingState("total propensity is zero")
-    u = 1.0 - rng.random()  # uniform in (0, 1]
-    return -math.log(u) / a_total
-
-
-def select_event(rates: EventRates, rng: np.random.Generator) -> str:
-    """Pick an event class with probability proportional to its propensity."""
-    total = rates.total
-    if total <= 0:
-        raise AbsorbingState("total propensity is zero")
-    u = rng.random() * total
-    if u < rates.infection:
-        return INFECTION
-    if u < rates.infection + rates.recovery:
-        return RECOVERY
-    return WANING
 
 
 _CSV_BLOCK = 8192  # trajectory rows converted and written at a time
@@ -476,7 +420,7 @@ def _run_events(pop: CompartmentState | WellMixedPopulation, params: RateParams,
     """Direct-method Gillespie loop (Gillespie 1977) on one population.
 
     The arithmetic and the draw order (waiting time, event class, target)
-    are those of `sample_waiting_time` and `select_event`. `pending`
+    are those of the reference steps in `tests/reference.py`. `pending`
     interventions, sorted by trigger time, need a network population.
 
     Both populations draw the doubles `np.random.default_rng(seed)` would

@@ -40,9 +40,5 @@ class ProbabilityOverflowError(NetEpiError, ValueError):
     """A per-step transition probability left [0, 1]."""
 
 
-class AbsorbingState(NetEpiError):
-    """Signal that total propensity is zero: no further event can occur."""
-
-
 class ConfigError(NetEpiError, ValueError):
     """A run configuration document is invalid."""

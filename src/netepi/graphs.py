@@ -121,20 +121,13 @@ class Graph:
         return Graph(indptr, dst, len(keys))
 
     def edge_array(self) -> np.ndarray:
-        """All edges as an (m, 2) array of rows u < v, in `edges()` order."""
+        """All edges as an (m, 2) array of rows u < v, sorted."""
         src = np.repeat(np.arange(self.node_count), self.degrees())
         upper = src < self.indices
         return np.column_stack([src[upper], self.indices[upper]])
 
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as sorted (u, v) pairs with u < v."""
-        return list(zip(*self.edge_array().T.tolist()))
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def degree(self, node: int) -> int:
-        return int(self.indptr[node + 1] - self.indptr[node])
 
 
 @dataclass(frozen=True)
@@ -241,31 +234,34 @@ def generate_ba(n: int, m: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-# A first line "# nodes: N" (N at most 18 digits), ended as str.splitlines ends lines.
-_HEADER = re.compile(r"# nodes: ([0-9]{1,18})(?=[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]|\Z)")
-_MAX_ID_DIGITS = 18  # so every id of plain text fits in int64
+# A first line "# nodes: N", N of at most 18 digits.
+_HEADER = re.compile(r"# nodes: ([0-9]{1,18})(?=\r?\n|\Z)")
+# The line breaks of str.splitlines other than \n and \r\n.
+_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_BAD_BREAK = re.compile(f"[{_BREAKS}]|\r(?!\n)")
+_PLAIN = b"0123456789 \t\r\n"
+# Any other byte read as a 0, so that a bad line's ids still count and parse.
+_AS_DIGIT = bytes(c if c in _PLAIN else ord("0") for c in range(256))
 
 
 def load_edge_list(text: str | IO[str], compact_ids: bool = False) -> Graph:
     """Parse an edge list: one "u v" pair per line, '#' starts a comment.
+
+    Lines end in \\n or \\r\\n; outside comments only ASCII digits, spaces
+    and tabs; two ids of at most 18 digits on each non-empty line. Any other
+    text is an `EdgeListFormatError` naming the first line that breaks a rule.
 
     Duplicate lines and reversed duplicates collapse to a single edge;
     self-loops are skipped (counted in a warning). Node count is the N of a
     first line "# nodes: N" (as `save_edge_list` writes; an id >= N is an
     error), else max id + 1, unless compact_ids remaps ids to a dense
     0..n-1 range (and ignores the header).
-
-    Plain text (ASCII digits, spaces, tabs and newlines outside comments,
-    two ids of at most 18 digits per non-empty line) is parsed whole; any
-    other text goes through the line-by-line parser, which names the line
-    of any error.
     """
     if hasattr(text, "read"):
         text = text.read()
     header = None if compact_ids else _HEADER.match(text)
     declared = int(header[1]) if header else None
-    parsed = _parse_plain(text, declared)
-    pairs, self_loops = parsed if parsed is not None else _parse_lines(text, declared)
+    pairs, self_loops = _parse_edges(text, declared)
     if self_loops:
         logger.warning("skipped %d self-loop line(s)", self_loops)
     if compact_ids:
@@ -276,61 +272,44 @@ def load_edge_list(text: str | IO[str], compact_ids: bool = False) -> Graph:
     return Graph.from_edges(int(pairs.max()) + 1 if len(pairs) else 0, pairs)
 
 
-def _parse_lines(text: str, declared: Optional[int]) -> tuple[np.ndarray, int]:
-    """(u, v) rows without self-loops, and the self-loop count, line by line."""
-    limit = 1 << 63 if declared is None else declared
-    beyond = "node ids must be below " + (
-        "2**63" if declared is None else f"the declared node count {declared}")
-    us, vs = [], []
-    self_loops = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.partition("#")[0].split()
-        if not parts:
-            continue
-        if len(parts) != 2:
-            raise EdgeListFormatError(lineno, raw, "expected two node ids")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EdgeListFormatError(lineno, raw, "node ids must be integers") from None
-        if u < 0 or v < 0:
-            raise EdgeListFormatError(lineno, raw, "node ids must be non-negative")
-        if max(u, v) >= limit:
-            raise EdgeListFormatError(lineno, raw, beyond)
-        if u == v:
-            self_loops += 1
-            continue
-        us.append(u)
-        vs.append(v)
-    return np.array([us, vs], dtype=np.int64).T, self_loops
-
-
-def _parse_plain(text: str, declared: Optional[int]) -> Optional[tuple[np.ndarray, int]]:
-    """What `_parse_lines` returns, from one C-level parse of the whole text;
-    None unless the text is plain and parses without error."""
-    if not text.isascii():
-        return None
-    raw = text.encode("ascii")
-    # Line breaks of str.splitlines other than \n and \r\n would split lines and end comments.
-    if any(c in raw for c in (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")) or (
-            b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")):
-        return None
+def _parse_edges(text: str, declared: Optional[int]) -> tuple[np.ndarray, int]:
+    """(u, v) rows without self-loops, and the self-loop count, from one
+    C-level parse of the whole text. Each rule is checked on the whole text
+    or array; only a failed check looks for its first line. The error names
+    the first bad line, and the rule it breaks first by rank: line breaks,
+    id count, digits, declared range."""
+    faults = []  # (line index, rule rank, reason)
+    # A str search for a character wider than the text returns at once.
+    if any(c in text for c in _BREAKS) or (
+            "\r" in text and text.count("\r") != text.count("\r\n")):
+        at = _BAD_BREAK.search(text).start()
+        faults.append((text.count("\n", 0, at), 0, "lines must end in \\n or \\r\\n"))
+    raw = text.encode("utf-8", "surrogatepass")
     body = re.sub(rb"#[^\n]*", b"", raw) if b"#" in raw else raw
-    if body.translate(None, b"0123456789 \t\r\n"):
-        return None
+    if body.translate(None, _PLAIN):
+        at = re.search(rb"[^0-9 \t\r\n]", body).start()
+        faults.append((body.count(b"\n", 0, at), 2, "node ids must be ASCII digits"))
+        body = body.translate(_AS_DIGIT)
     chars = np.frombuffer(body, dtype=np.uint8)
     # Token bounds: where the digit mask flips, starts and ends alternating.
     bounds = np.flatnonzero(np.diff(chars >= ord("0"), prepend=False, append=False))
     starts, ends = bounds[0::2], bounds[1::2]
-    if not len(starts):  # np.fromstring would read whitespace-only text as [0]
-        return np.empty((0, 2), dtype=np.int64), 0
     line = np.searchsorted(np.flatnonzero(chars == ord("\n")), starts)
-    if len(starts) % 2 or (ends - starts).max() > _MAX_ID_DIGITS \
-            or np.any(line[0::2] != line[1::2]) or np.any(line[1:-1:2] == line[2::2]):
-        return None  # a line with 1 or 3+ ids, or an id that may not fit in int64
-    pairs = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2)  # sep=" ": any whitespace
-    if declared is not None and pairs.max() >= declared:
-        return None  # the line loop names the line
+    if len(starts) % 2 or np.any(line[0::2] != line[1::2]) or np.any(line[1:-1:2] == line[2::2]):
+        faults.append((line[np.bincount(line)[line] != 2][0], 1, "expected two node ids"))
+    too_long = ends - starts > 18  # so every id fits in int64
+    if too_long.any():
+        faults.append((line[too_long][0], 2, "node ids must be below 10**18, in at most 18 digits"))
+    # Saturates an overlong id; would read whitespace-only text as [0]. sep=" ": any whitespace.
+    ids = np.fromstring(body, dtype=np.int64, sep=" ") if len(starts) else np.empty(0, np.int64)
+    if declared is not None and len(ids) and ids.max() >= declared:
+        faults.append((line[ids >= declared][0], 3,
+                       f"node ids must be below the declared node count {declared}"))
+    if faults:
+        index, _, reason = min(faults)
+        bad = re.split(r"\r?\n", text, index + 1)[index]
+        raise EdgeListFormatError(int(index) + 1, bad, reason)
+    pairs = ids.reshape(-1, 2)
     loops = pairs[:, 0] == pairs[:, 1]
     self_loops = int(np.count_nonzero(loops))
     return (pairs[~loops] if self_loops else pairs), self_loops

@@ -128,9 +128,3 @@ class InterventionSpec:
         if self.seed:
             out["seed"] = self.seed
         return out
-
-    @staticmethod
-    def from_dict(d: dict) -> "InterventionSpec":
-        from .config import parse_intervention_block  # config imports this module
-
-        return parse_intervention_block(d)

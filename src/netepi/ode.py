@@ -33,9 +33,6 @@ class FractionState:
         if abs(self.s + self.i + self.r - 1.0) > 1e-9:
             raise ParameterError(f"fractions must sum to 1, got {self.s + self.i + self.r}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.s, self.i, self.r], dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class OdeSolution:

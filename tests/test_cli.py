@@ -142,6 +142,17 @@ class TestMetrics:
         assert run_cli("metrics", str(path)) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: line {line}: node ids must be below")
 
+    @pytest.mark.parametrize("command", ["metrics", "generate"])
+    def test_allocation_beyond_any_address_space(self, tmp_path, capsys, command):
+        # 10**16 nodes need a 71 PiB index array: the allocation fails at once.
+        path = tmp_path / "huge.txt"
+        path.write_text("0 10000000000000000\n")
+        argv = ([str(path)] if command == "metrics"
+                else ["--model", "er", "--n", "10000000000000000", "--p", "0"])
+        assert run_cli(command, *argv) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
     def test_generate_then_metrics_keeps_isolated_nodes(self, tmp_path, capsys):
         # ER(50, 0.02, seed 1) leaves its last node isolated.
         path = tmp_path / "er.txt"
@@ -150,7 +161,7 @@ class TestMetrics:
         assert run_cli("metrics", str(path)) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         g = graphs.generate_er(50, 0.02, seed=1)
-        assert g.degree(49) == 0
+        assert g.degrees()[49] == 0
         assert (report["nodes"], report["edges"]) == (50, g.edge_count)
         assert report["density"] == 2 * g.edge_count / (50 * 49)
 
@@ -233,6 +244,17 @@ class TestSimulate:
         path = tmp_path / "bad.json"
         path.write_text("{\"network\": {}}")
         assert run_cli("simulate", str(path)) == EXIT_INPUT
+
+    @pytest.mark.parametrize("edge_list", ["1 2 3\n", None], ids=["malformed", "missing"])
+    def test_bad_edge_list_leaves_no_out_dir(self, tmp_path, capsys, edge_list):
+        path = tmp_path / "g.txt"
+        if edge_list is not None:
+            path.write_text(edge_list)
+        cfg = self.config(tmp_path, network={"edge_list": {"path": str(path)}})
+        out = tmp_path / "out"
+        assert run_cli("simulate", str(cfg), "--out-dir", str(out)) == EXIT_INPUT
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
 
     def test_graph_and_init_seeds_differ(self, tmp_path, monkeypatch):
         seeds = {}

@@ -3,7 +3,6 @@ import hashlib
 import io
 import logging
 import pickle
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +33,7 @@ from netepi.graphs import (
 )
 
 from invariants import check_graph_invariants
+from reference import edges, first_offending_line, load_by_lines
 
 
 def complete_graph(n):
@@ -108,16 +108,16 @@ class TestFromEdges:
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         as_tuples = [tuple(p) for p in pairs.tolist()]
         want = reference_from_edges(40, as_tuples)
-        for edges in (pairs, as_tuples, pairs.astype(np.uint32)):
-            g = Graph.from_edges(40, edges)
+        for form in (pairs, as_tuples, pairs.astype(np.uint32)):
+            g = Graph.from_edges(40, form)
             assert (g.adjacency, g.edge_count) == want
-        assert Graph.from_edges(40, pairs).edges() == sorted({(min(p), max(p)) for p in as_tuples})
+        assert edges(Graph.from_edges(40, pairs)) == sorted({(min(p), max(p)) for p in as_tuples})
 
     def test_neighbour_ids_are_shared_objects(self):
         # Ids above 256 are not interned by Python; one object each keeps memory down.
         g = generate_ba(1000, 3, seed=1)
         for node in (300, 999):
-            assert g.degree(node) >= 3
+            assert g.degrees()[node] >= 3
             assert len({id(v) for nbrs in g.adjacency for v in nbrs if v == node}) == 1
 
 
@@ -138,7 +138,7 @@ class TestGenerateEr:
     def test_deterministic(self):
         a = generate_er(100, 0.05, seed=9)
         b = generate_er(100, 0.05, seed=9)
-        assert a.edges() == b.edges()
+        assert edges(a) == edges(b)
 
     def test_invalid_p(self):
         with pytest.raises(ParameterError):
@@ -161,11 +161,11 @@ class TestGenerateWs:
     def test_no_rewiring_is_ring(self):
         g = generate_ws(6, 2, 0.0, seed=1)
         assert g.edge_count == 6
-        assert all(g.degree(v) == 2 for v in range(6))
+        assert all(g.degrees() == 2)
 
     def test_degrees_uniform_without_rewiring(self):
         g = generate_ws(40, 6, 0.0, seed=5)
-        assert all(g.degree(v) == 6 for v in range(40))
+        assert all(g.degrees() == 6)
 
     def test_edge_count_preserved_by_rewiring(self):
         g = generate_ws(20, 4, 1.0, seed=7)
@@ -184,7 +184,7 @@ class TestGenerateWs:
         for seed in range(10):
             g = nx.Graph()
             g.add_nodes_from(range(1000))
-            g.add_edges_from(generate_ws(1000, 10, 0.1, seed=seed).edges())
+            g.add_edges_from(edges(generate_ws(1000, 10, 0.1, seed=seed)))
             ours.append(nx.transitivity(g))
             theirs.append(nx.transitivity(nx.watts_strogatz_graph(1000, 10, 0.1, seed=seed)))
         se = np.hypot(np.std(ours, ddof=1), np.std(theirs, ddof=1)) / np.sqrt(10)
@@ -270,11 +270,11 @@ class TestLoadEdgeList:
         buf = io.StringIO()
         save_edge_list(g, buf)
         g2 = load_edge_list(buf.getvalue())
-        assert g.edges() == g2.edges()
+        assert edges(g) == edges(g2)
 
     def test_header_keeps_trailing_isolated_nodes(self):
         g = generate_er(50, 0.02, seed=1)
-        assert g.degree(49) == 0
+        assert g.degrees()[49] == 0
         text = edge_list_text(g)
         assert text.startswith("# nodes: 50\n")
         assert load_edge_list(text) == g
@@ -298,99 +298,118 @@ def edge_list_text(g):
     return buf.getvalue()
 
 
-def read_outcome(text, compact_ids=False, whole_text=True):
+def read_outcome(text, compact_ids=False):
     """What load_edge_list gives: the graph, or the error's type, line and
-    message; plus the log messages. whole_text=False forces the line loop."""
+    message; plus the log messages."""
     records = []
     handler = logging.Handler()
     handler.emit = records.append
     log = logging.getLogger("netepi.graphs")
     log.addHandler(handler)
-    plain = graphs._parse_plain if whole_text else (lambda text, declared: None)
     try:
-        with mock.patch.object(graphs, "_parse_plain", plain):
-            try:
-                result = load_edge_list(text, compact_ids=compact_ids)
-            except Exception as exc:
-                result = (type(exc), getattr(exc, "line_number", None), str(exc))
+        result = load_edge_list(text, compact_ids=compact_ids)
+    except Exception as exc:
+        result = (type(exc), getattr(exc, "line_number", None), str(exc))
     finally:
         log.removeHandler(handler)
     return result, [r.getMessage() for r in records]
 
 
-def takes_whole_text_path(text, compact_ids=False):
-    header = None if compact_ids else graphs._HEADER.match(text)
-    return graphs._parse_plain(text, int(header[1]) if header else None) is not None
+def line_loop_outcome(text, compact_ids=False):
+    """`read_outcome`'s form, from the reference line loop."""
+    try:
+        g, self_loops = load_by_lines(text, compact_ids)
+    except EdgeListFormatError as exc:
+        return (type(exc), exc.line_number, str(exc)), []
+    return g, [f"skipped {self_loops} self-loop line(s)"] if self_loops else []
 
 
-# text, parsed whole?, (node count, edges) or the error's line number
+# text, then (node count, edges) or the number of the line an error names
 AWKWARD_INPUTS = [
-    ("0 1\r\n1 2\r\n", True, (3, [(0, 1), (1, 2)])),
-    ("0 1\r1 2\n", False, (3, [(0, 1), (1, 2)])),
-    ("0 1\v1 2", False, (3, [(0, 1), (1, 2)])),
-    ("0 1\f1 2", False, (3, [(0, 1), (1, 2)])),
-    ("0 1\x1c1 2", False, (3, [(0, 1), (1, 2)])),
-    ("0 1\x851 2", False, (3, [(0, 1), (1, 2)])),
-    ("0 1 # \v 2\n", False, 2),  # \v ends the comment: " 2" is a line of one id
-    ("0 1 # c\r2 3\n", False, (4, [(0, 1), (2, 3)])),  # so does a lone \r
-    ("0\u00a01\n", False, (2, [(0, 1)])),
-    ("\u0663 0\n", False, (4, [(0, 3)])),
-    ("+5 0\n", False, (6, [(0, 5)])),
-    ("1_0 0\n", False, (11, [(0, 10)])),
-    ("0000000000000000001 2\n", False, (3, [(1, 2)])),
-    ("000000000000000001 2\n", True, (3, [(1, 2)])),
-    ("\t0\t1 \t\n\t \n1\t2\t", True, (3, [(0, 1), (1, 2)])),
-    ("0 1\n# final comment", True, (2, [(0, 1)])),
-    ("0 1#c\n1 2  # c # c\n", True, (3, [(0, 1), (1, 2)])),
-    ("", True, (0, [])),
-    ("   \n\t\n", True, (0, [])),
-    ("# only\n#comments\n", True, (0, [])),
-    ("0 1\n2\n", False, 2),
-    ("0 1 2\n", False, 1),
-    ("0 1 2\n3\n", False, 1),
-    ("0\n1\n", False, 1),
-    ("0 1 2 3\n", False, 1),
-    ("0 1\n0 -1\n", False, 2),
-    ("0 x\n", False, 1),
-    ("2 99999999999999999999\n", False, 1),
-    ("0 1\n2 2\n3 3\n", True, (2, [(0, 1)])),
-    ("# nodes: 5\n0 1\n", True, (5, [(0, 1)])),
-    ("# nodes: 5\r\n0 1\r\n", True, (5, [(0, 1)])),
-    ("# nodes: 5\v0 1\n", False, (5, [(0, 1)])),
-    ("# nodes: 2\n0 1\n1 2\n", False, 3),
-    ("# nodes: 2\n0 1\n2 2\n", False, 3),  # range before self-loop
-    ("# nodes: 5 \n0 1\n", True, (2, [(0, 1)])),  # not exactly a header
-    ("#nodes: 5\n0 1\n", True, (2, [(0, 1)])),
-    ("0 1\n# nodes: 5\n", True, (2, [(0, 1)])),  # only the first line declares
+    ("0 1\r\n1 2\r\n", (3, [(0, 1), (1, 2)])),
+    # Outside the format, though str.splitlines and int() would read them.
+    ("0 1\r1 2\n", 1),
+    ("0 1\v1 2", 1),
+    ("0 1\f1 2", 1),
+    ("0 1\x1c1 2", 1),
+    ("0 1\x851 2", 1),
+    ("0 1 # \v 2\n", 1),  # a break in a comment too
+    ("0 1 # c\r2 3\n", 1),  # else a lone \r would hide the edge 2 3
+    ("0\u00a01\n", 1),
+    ("\u0663 0\n", 1),
+    ("+5 0\n", 1),
+    ("1_0 0\n", 1),
+    ("0000000000000000001 2\n", 1),  # 19 digits
+    ("# nodes: 5\v0 1\n", 1),
+    ("000000000000000001 2\n", (3, [(1, 2)])),
+    ("\t0\t1 \t\n\t \n1\t2\t", (3, [(0, 1), (1, 2)])),
+    ("0 1\n# final comment", (2, [(0, 1)])),
+    ("0 1#c\n1 2  # c # c\n", (3, [(0, 1), (1, 2)])),
+    ("0 1 # caf\u00e9 \u2603\n", (2, [(0, 1)])),
+    ("", (0, [])),
+    ("   \n\t\n", (0, [])),
+    ("# only\n#comments\n", (0, [])),
+    ("0 1\n2\n", 2),
+    ("0 1 2\n", 1),
+    ("0 1 2\n3\n", 1),
+    ("0\n1\n", 1),
+    ("0 1 2 3\n", 1),
+    ("0 1\n0 -1\n", 2),
+    ("0 x\n", 1),
+    ("2 99999999999999999999\n", 1),
+    ("0 1\n2 2\n3 3\n", (2, [(0, 1)])),
+    ("# nodes: 5\n0 1\n", (5, [(0, 1)])),
+    ("# nodes: 5\r\n0 1\r\n", (5, [(0, 1)])),
+    ("# nodes: 2\n0 1\n1 2\n", 3),
+    ("# nodes: 2\n0 1\n2 2\n", 3),  # range before self-loop
+    ("# nodes: 5 \n0 1\n", (2, [(0, 1)])),  # not exactly a header
+    ("#nodes: 5\n0 1\n", (2, [(0, 1)])),
+    ("0 1\n# nodes: 5\n", (2, [(0, 1)])),  # only the first line declares
 ]
 
 
 class TestWholeTextReader:
-    """The whole-text path gives what the line loop gives, on every input."""
+    """One parser reads every edge list: it accepts what the format allows
+    and names the first line of anything else."""
 
-    @pytest.mark.parametrize("text, whole, expected", AWKWARD_INPUTS,
+    @pytest.mark.parametrize("text, expected", AWKWARD_INPUTS,
                              ids=[repr(case[0])[:24] for case in AWKWARD_INPUTS])
-    def test_awkward_inputs(self, text, whole, expected):
-        assert takes_whole_text_path(text) == whole
-        outcome = read_outcome(text)
-        assert outcome == read_outcome(text, whole_text=False)
-        result, _ = outcome
+    def test_awkward_inputs(self, text, expected):
+        result, _ = read_outcome(text)
         if isinstance(expected, int):
             assert result[:2] == (EdgeListFormatError, expected)
+            assert first_offending_line(text) == expected
         else:
-            assert (result.node_count, result.edges()) == expected
+            assert (result.node_count, edges(result)) == expected
+            assert first_offending_line(text) is None
+
+    @pytest.mark.parametrize("text, line, reason", [
+        ("0 1\n1 2 3\n0 x\n", 2, "expected two node ids"),
+        ("0 x y\n", 1, "expected two node ids"),  # the id count before the digits
+        ("0 1\n0 -1\n", 2, "node ids must be ASCII digits"),
+        ("0 1\r2 x\n", 1, "lines must end in \\n or \\r\\n"),
+        ("0 1234567890123456789\n", 1, "node ids must be below 10**18, in at most 18 digits"),
+        ("# nodes: 3\n0 3\n0 1 2\n", 2, "node ids must be below the declared node count 3"),
+        ("# nodes: 3\n0 1\r\n3 1 2\r\n", 3, "expected two node ids"),
+    ])
+    def test_error_names_the_first_rule_broken(self, text, line, reason):
+        with pytest.raises(EdgeListFormatError) as err:
+            load_edge_list(text)
+        assert (err.value.line_number, type(err.value.line_number)) == (line, int)
+        assert str(err.value).startswith(f"line {line}: {reason}: ")
+        assert err.value.line == text.split("\n")[line - 1].removesuffix("\r")
 
     def test_self_loop_warning_on_both_paths(self):
         text = "0 1\n2 2\n3 3\n"
-        assert takes_whole_text_path(text)
-        for whole in (True, False):
-            assert read_outcome(text, whole_text=whole)[1] == ["skipped 2 self-loop line(s)"]
+        assert read_outcome(text)[1] == line_loop_outcome(text)[1] == [
+            "skipped 2 self-loop line(s)"]
 
     def test_large_saved_graph_takes_whole_text_path(self):
         g = generate_ba(2000, 3, seed=5)
         text = edge_list_text(g)
-        assert takes_whole_text_path(text)
-        assert read_outcome(text) == read_outcome(text, whole_text=False) == (g, [])
+        assert read_outcome(text) == line_loop_outcome(text) == (g, [])
+        bad = text + "1 2 3\n"
+        assert read_outcome(bad)[0][:2] == (EdgeListFormatError, g.edge_count + 2)
 
     @settings(max_examples=400, deadline=None)
     @given(lines=st.data(), plain=st.booleans(),
@@ -405,17 +424,24 @@ class TestWholeTextReader:
             st.sampled_from([0, 2, 2] if plain else [0, 2, 2, 1, 3]).flatmap(
                 lambda k: st.lists(ids if plain else ids | odd, min_size=k, max_size=k)),
             st.sampled_from([" ", "\t", " \t "] + ([] if plain else ["\u00a0"])),
-            st.sampled_from(["", "", "#", "# c", "# nodes: 9"]
-                            + ([] if plain else ["#\x1c", "#\r", "# \u00e9"])),
+            st.sampled_from(["", "", "#", "# c", "# nodes: 9", "# caf\u00e9"]
+                            + ([] if plain else ["#\x1c", "#\r", "# \u2029"])),
             st.sampled_from(["\n", "\n", "\r\n"]
                             + ([] if plain else ["\r", "\v", "\f", "\x1c", "\x1e", "\x85",
                                                  "\u2028"])),
         )
-        text = header + "".join(sep + sep.join(line) + sep + comment + end for line, sep, comment, end
-                                in lines.draw(st.lists(pieces, max_size=8)))
-        text = text[:-1] if drop_last else text
-        assert (read_outcome(text, compact_ids) ==
-                read_outcome(text, compact_ids, whole_text=False))
+        text = (header if not plain or header.isascii() else "") + "".join(  # \x85: not plain
+            sep + sep.join(line) + sep + comment + end
+            for line, sep, comment, end in lines.draw(st.lists(pieces, max_size=8)))
+        if drop_last:  # a lone \r left of a \r\n would not be plain
+            text = text[:-2] if plain and text.endswith("\r\n") else text[:-1]
+        outcome = read_outcome(text, compact_ids)
+        line = first_offending_line(text, compact_ids)
+        if plain or line is None:
+            # Plain text: exactly what the line loop gives, error messages included.
+            assert outcome == line_loop_outcome(text, compact_ids)
+        else:
+            assert outcome[0][:2] == (EdgeListFormatError, line)
 
 
 class TestCsr:
@@ -445,7 +471,7 @@ class TestCsr:
         c = generate_er(200, 0.05, seed=4)
         assert a != c and hash(a) != hash(c)
         assert Graph.from_edges(3, []) != Graph.from_edges(4, [])
-        assert a != a.edges()
+        assert a != edges(a)
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_adjacency_build_restores_the_collector(self, enabled):
@@ -468,8 +494,7 @@ class TestCsr:
         src = np.repeat(np.arange(g.node_count), g.degrees())
         assert (adj, g.edge_count) == reference_from_edges(g.node_count, zip(src, g.indices))
         assert [len(nbrs) for nbrs in adj] == g.degrees().tolist()
-        assert all(g.degree(v) == len(adj[v]) for v in range(g.node_count))
-        assert g.edges() == sorted((u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v)
+        assert edges(g) == sorted((u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v)
 
 
 class TestIdentityAtScale:
@@ -538,7 +563,7 @@ class TestMetrics:
         g = build()
         ng = nx.Graph()
         ng.add_nodes_from(range(g.node_count))
-        ng.add_edges_from(g.edges())
+        ng.add_edges_from(edges(g))
         stats = degree_stats(g)
         assert stats.average_degree == sum(d for _, d in ng.degree()) / ng.number_of_nodes()
         assert stats.histogram == {k: c for k, c in enumerate(nx.degree_histogram(ng)) if c}

@@ -141,7 +141,7 @@ class TestEquilibriumAndR0:
 
         params = RateParams(1.0, 0.5, 0.25)
         eq = endemic_equilibrium(params)
-        assert np.max(np.abs(_sirs_rhs(eq.as_array(), params))) < 1e-12
+        assert np.max(np.abs(_sirs_rhs(np.array([eq.s, eq.i, eq.r]), params))) < 1e-12
 
     def test_r0_plain(self):
         assert r0(RateParams(0.3, 0.1)) == pytest.approx(3.0)
