@@ -31,6 +31,7 @@ from .dynamics import (
 from .errors import ConfigError, EdgeListFormatError, NetEpiError, ParameterError
 from .experiments import (
     NETWORK_FIELDS,
+    ExperimentTable,
     NetworkSource,
     SweepSpec,
     experiment_density_comparison,
@@ -72,12 +73,29 @@ def _at_least(low: float, kind: type = float, strict: bool = False):
     return parse
 
 
+def _numbers(want: str = "finite", ok=math.isfinite):
+    """Option type: comma-separated numbers, each of them `want` (as `ok` checks)."""
+
+    def parse(text: str) -> list[float]:
+        try:
+            values = [float(cell) for cell in text.split(",")]
+        except ValueError:
+            raise ConfigError(f"must be comma-separated numbers, got {text!r}") from None
+        for x in values:
+            if not ok(x):
+                raise ConfigError(f"values must be {want}, got {x!r}")
+        return values
+
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="netepi", description="Epidemic simulation on contact networks")
     parser.add_argument("--version", action="version", version=f"netepi {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate a graph and emit its edge list")
+    gen.set_defaults(run=_cmd_generate)
     gen.add_argument("--model", choices=("er", "ws", "ba"), required=True)
     rate, positive, count = _at_least(0.0), _at_least(0.0, strict=True), _at_least(1, int)
     gen.add_argument("--n", type=_at_least(0, int), required=True)
@@ -89,51 +107,56 @@ def _build_parser() -> _Parser:
     gen.add_argument("--out", help="output path (default stdout)")
 
     met = sub.add_parser("metrics", help="measure a graph from an edge-list file")
+    met.set_defaults(run=_cmd_metrics)
     met.add_argument("edge_list", help="edge-list path, or '-' for stdin")
     met.add_argument("--compact-ids", action="store_true", help="remap sparse ids to 0..n-1")
     met.add_argument("--k-min", type=count, help="pin the power-law fit tail cutoff")
     met.add_argument("--out", help="output path (default stdout)")
 
     sim = sub.add_parser("simulate", help="single run from a JSON config")
+    sim.set_defaults(run=_cmd_simulate)
     sim.add_argument("config", help="run-config JSON path")
     sim.add_argument("--out-dir", default=".", help="where trajectory/summary/manifest go")
 
     swp = sub.add_parser("sweep", help="generic replicate sweep from a JSON spec")
+    swp.set_defaults(run=_cmd_sweep)
     swp.add_argument("config", help="sweep-spec JSON path")
     swp.add_argument("--out-dir", default=".")
 
-    for exp_id, helptext, n, t_max in (
-        ("exp01", "epidemic-scope threshold sweep", 1000, 30.0),
-        ("exp02", "ER vs BA density comparison", None, 30.0),
-        ("exp03", "degree-cap lockdown timing", 3000, 10.0),
-        ("exp04", "waning-immunity waves", 1000, 100.0),
+    # An option left out never reaches exp02-exp04's experiment functions
+    # (SUPPRESS): their signatures hold the only defaults.
+    for exp_id, helptext, run in (
+        ("exp01", "epidemic-scope threshold sweep", _cmd_exp01),
+        ("exp02", "ER vs BA density comparison", _cmd_exp02),
+        ("exp03", "degree-cap lockdown timing", _cmd_exp03),
+        ("exp04", "waning-immunity waves", _cmd_exp04),
     ):
-        p = sub.add_parser(exp_id, help=helptext)
+        p = sub.add_parser(exp_id, help=helptext, argument_default=argparse.SUPPRESS)
+        p.set_defaults(run=run)
         p.add_argument("--out-dir", default=".")
-        p.add_argument("--replicates", type=count, default=50)
-        p.add_argument("--base-seed", type=_at_least(0, int), default=0)
-        if n is not None:  # exp02's sizes follow its densities
-            p.add_argument("--n", type=_at_least(2, int), default=n)
-        p.add_argument("--t-max", type=positive, default=t_max)
-        if exp_id == "exp01":
-            p.add_argument(
-                "--network", action="append", choices=("er", "ws", "ba", "well_mixed"),
-                help="repeatable; default: all four",
-            )
-            p.add_argument("--beta-max", type=rate, default=0.3)
-            p.add_argument("--beta-steps", type=count, default=13)
-        elif exp_id == "exp02":
-            p.add_argument("--densities", default="0.001,0.002,0.003,0.005,0.0075,0.01")
-            p.add_argument("--k-avg", type=positive, default=10.0)
-            p.add_argument("--beta", type=rate, default=0.1)
-        elif exp_id == "exp03":
-            p.add_argument("--triggers", default="0.25,0.5,0.75,1,1.25,1.5")
-            p.add_argument("--m", type=count, default=20)
-            p.add_argument("--cap", type=_at_least(0, int), default=5)
-            p.add_argument("--beta", type=rate, default=0.1)
-        else:
-            p.add_argument("--beta", type=rate, default=0.3)
-            p.add_argument("--alpha", type=rate, default=0.2)
+        p.add_argument("--replicates", type=count)
+        p.add_argument("--base-seed", type=_at_least(0, int))
+        if exp_id != "exp02":  # exp02's sizes follow its densities
+            p.add_argument("--n", type=_at_least(2, int))
+        p.add_argument("--t-max", type=positive)
+    exp01, exp02, exp03, exp04 = (sub.choices[f"exp0{i}"] for i in range(1, 5))
+    exp01.add_argument(
+        "--network", action="append", choices=("er", "ws", "ba", "well_mixed"), default=None,
+        help="repeatable; default: all four",
+    )
+    exp01.add_argument("--beta-max", type=rate, default=0.3)
+    exp01.add_argument("--beta-steps", type=count, default=13)
+    exp01.set_defaults(replicates=50, base_seed=0, n=1000, t_max=30.0)
+    exp02.add_argument("--densities", type=_numbers("in (0, 1]", lambda x: 0 < x <= 1))
+    exp02.add_argument("--k-avg", type=positive)
+    exp02.add_argument("--beta", type=rate)
+    exp03.add_argument("--triggers", dest="trigger_times", metavar="TRIGGERS", type=_numbers())
+    exp03.add_argument("--m", type=count)
+    exp03.add_argument("--cap", type=_at_least(0, int))
+    exp03.add_argument("--beta", type=rate)
+    exp04.add_argument("--beta", type=rate)
+    exp04.add_argument("--alpha", type=rate)
+    exp04.set_defaults(n=1000)
     return parser
 
 
@@ -144,7 +167,7 @@ def _write_text(path: Optional[str], text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> None:
     if args.seed == "auto":
         seed = secrets.randbits(63)
         print(f"seed: {seed}", file=sys.stderr)
@@ -157,25 +180,21 @@ def _cmd_generate(args) -> int:
     missing = [f"--{name.replace('_', '-')}" for name, v in values.items() if v is None]
     if missing:
         raise ConfigError(f"--model {args.model} requires {' and '.join(missing)}")
-    try:
-        g = getattr(NetworkSource, args.model)(**values).build_graph(seed)
-    except ParameterError as exc:  # a value out of the model's range, such as --p 2.0
-        raise ConfigError(str(exc)) from None
+    g = getattr(NetworkSource, args.model)(**values).build_graph(seed)
     buf = io.StringIO()
     graphs.save_edge_list(g, buf)
     _write_text(args.out, buf.getvalue())
-    return EXIT_OK
 
 
-def _cmd_metrics(args) -> int:
+def _cmd_metrics(args) -> None:
     if args.edge_list == "-":
         text = sys.stdin.read()
-    else:
-        text = Path(args.edge_list).read_text(encoding="utf-8")
+    else:  # newline="" hands a lone \r to the parser, which rejects it
+        with open(args.edge_list, encoding="utf-8", newline="") as fh:
+            text = fh.read()
     g = graphs.load_edge_list(text, compact_ids=args.compact_ids)
     report = graphs.metrics_report(g, k_min=args.k_min)
     _write_text(args.out, json.dumps(report, indent=2) + "\n")
-    return EXIT_OK
 
 
 def _run_config(cfg):
@@ -212,7 +231,7 @@ def _run_config(cfg):
     return traj, summarize_trajectory(traj)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
     result, summary = _run_config(cfg)  # first, so bad input leaves no out dir behind
     out_dir = Path(args.out_dir)
@@ -224,106 +243,67 @@ def _cmd_simulate(args) -> int:
         summ_path = Path(cfg.summary_path) if cfg.summary_path else out_dir / "summary.json"
         summ_path.write_text(summary.to_json() + "\n", encoding="utf-8")
     (out_dir / "manifest.json").write_text(cfg.to_json() + "\n", encoding="utf-8")
-    return EXIT_OK
 
 
-def _write_table(table, out_dir: Path, stem: str) -> None:
+def _write_table(table, args) -> None:
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / f"{stem}_table.csv", "w", encoding="utf-8") as fh:
+    with open(out_dir / f"{args.command}_table.csv", "w", encoding="utf-8") as fh:
         table.write_csv(fh)
-    with open(out_dir / f"{stem}_manifest.json", "w", encoding="utf-8") as fh:
+    with open(out_dir / f"{args.command}_manifest.json", "w", encoding="utf-8") as fh:
         table.write_manifest(fh)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     spec = parse_sweep_config(Path(args.config).read_text(encoding="utf-8"))
-    table = experiment_scope_sweep(spec, experiment_id="sweep")
-    _write_table(table, Path(args.out_dir), "sweep")
-    return EXIT_OK
+    _write_table(experiment_scope_sweep(spec, experiment_id="sweep"), args)
 
 
-def _number_list(args, option: str) -> list[float]:
-    """`--densities` or `--triggers` as finite numbers; densities lie in (0, 1]."""
-    text = getattr(args, option)
-    try:
-        values = [float(cell) for cell in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"--{option} must be comma-separated numbers, got {text!r}") from None
-    for x in values:
-        if not math.isfinite(x) or (option == "densities" and not 0 < x <= 1):
-            want = "in (0, 1]" if option == "densities" else "finite"
-            raise ConfigError(f"--{option} values must be {want}, got {x!r}")
-    return values
-
-
-def _exp01_networks(names: Optional[Sequence[str]], n: int) -> list[NetworkSource]:
+def _networks(names: Optional[Sequence[str]], n: int) -> list[NetworkSource]:
+    """exp01's and exp04's networks of n nodes and mean degree 10; default: all four."""
     k_avg = 10
-    builders = {
-        "ba": lambda: NetworkSource.ba(n, 5, label="BA"),
-        "er": lambda: NetworkSource.er(n, k_avg / (n - 1), label="ER"),
-        "ws": lambda: NetworkSource.ws(n, k_avg, 0.1, label="WS"),
-        "well_mixed": lambda: NetworkSource.well_mixed(n, k_avg, label="well-mixed"),
+    sources = {
+        "ba": NetworkSource.ba(n, 5, label="BA"),
+        "er": NetworkSource.er(n, k_avg / (n - 1), label="ER"),
+        "ws": NetworkSource.ws(n, k_avg, 0.1, label="WS"),
+        "well_mixed": NetworkSource.well_mixed(n, k_avg, label="well-mixed"),
     }
-    return [builders[name]() for name in (names or ("ba", "er", "ws", "well_mixed"))]
+    return [sources[name] for name in names or sources]
 
 
-def _cmd_exp(args) -> int:
-    out_dir = Path(args.out_dir)
-    if args.command == "exp01":
-        spec = SweepSpec(
-            networks=_exp01_networks(args.network, args.n),
-            betas=[round(b, 10) for b in np.linspace(0.0, args.beta_max, args.beta_steps)],
-            gamma=1.0,
-            initial_fraction=0.01,
-            t_max=args.t_max,
-            replicates=args.replicates,
-            base_seed=args.base_seed,
-        )
-        _write_table(experiment_scope_sweep(spec), out_dir, "exp01")
-    elif args.command == "exp02":
-        table = experiment_density_comparison(
-            densities=_number_list(args, "densities"),
-            k_avg=args.k_avg,
-            beta=args.beta,
-            t_max=args.t_max,
-            replicates=args.replicates,
-            base_seed=args.base_seed,
-        )
-        _write_table(table, out_dir, "exp02")
-    elif args.command == "exp03":
-        table = experiment_intervention_timing(
-            trigger_times=_number_list(args, "triggers"),
-            n=args.n,
-            m=args.m,
-            cap=args.cap,
-            beta=args.beta,
-            t_max=args.t_max,
-            replicates=args.replicates,
-            base_seed=args.base_seed,
-        )
-        _write_table(table, out_dir, "exp03")
-    else:
-        networks = [
-            NetworkSource.er(args.n, 10 / (args.n - 1), label="ER"),
-            NetworkSource.ba(args.n, 5, label="BA"),
-        ]
-        table, curves = experiment_sirs(
-            networks,
-            beta=args.beta,
-            alpha=args.alpha,
-            t_max=args.t_max,
-            replicates=args.replicates,
-            base_seed=args.base_seed,
-        )
-        _write_table(table, out_dir, "exp04")
-        labels = list(curves)
-        grid = curves[labels[0]][0]
-        with open(out_dir / "exp04_curves.csv", "w", encoding="utf-8") as fh:
-            fh.write("t," + ",".join(labels) + "\n")
-            for idx, t in enumerate(grid):
-                cells = [repr(float(curves[lab][1][idx])) for lab in labels]
-                fh.write(f"{float(t)!r}," + ",".join(cells) + "\n")
-    return EXIT_OK
+def _cmd_exp01(args) -> None:
+    spec = SweepSpec(
+        networks=_networks(args.network, args.n),
+        betas=[round(b, 10) for b in np.linspace(0.0, args.beta_max, args.beta_steps)],
+        gamma=1.0, initial_fraction=0.01, t_max=args.t_max, replicates=args.replicates,
+        base_seed=args.base_seed,
+    )
+    _write_table(experiment_scope_sweep(spec), args)
+
+
+def _options(args, *cli_only: str) -> dict:
+    """The options given to an exp subcommand, as its experiment's keywords."""
+    return {key: value for key, value in vars(args).items()
+            if key not in ("command", "run", "out_dir", *cli_only)}
+
+
+def _cmd_exp02(args) -> None:
+    _write_table(experiment_density_comparison(**_options(args)), args)
+
+
+def _cmd_exp03(args) -> None:
+    _write_table(experiment_intervention_timing(**_options(args)), args)
+
+
+def _cmd_exp04(args) -> None:
+    table, curves = experiment_sirs(_networks(("er", "ba"), args.n), **_options(args, "n"))
+    _write_table(table, args)
+    columns = ["t", *curves]
+    grid = next(iter(curves.values()))[0]
+    series = zip(grid.tolist(), *(curve.tolist() for _, curve in curves.values()))
+    rows = [dict(zip(columns, values)) for values in series]
+    with open(Path(args.out_dir) / "exp04_curves.csv", "w", encoding="utf-8") as fh:
+        ExperimentTable("exp04", columns, rows).write_csv(fh)
 
 
 def dispatch(argv: Sequence[str]) -> int:
@@ -333,24 +313,17 @@ def dispatch(argv: Sequence[str]) -> int:
     except SystemExit as exc:  # a parse error (exit 1 or 2), --version or --help
         return int(exc.code or 0)
     try:
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "metrics":
-            return _cmd_metrics(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_exp(args)
-    except (
-        ConfigError, EdgeListFormatError, FileNotFoundError, IsADirectoryError,
-        json.JSONDecodeError,
+        args.run(args)
+    except (  # every parameter here comes from the user: a bad one is bad input
+        ConfigError, ParameterError, EdgeListFormatError, FileNotFoundError,
+        IsADirectoryError, json.JSONDecodeError, UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NetEpiError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    return EXIT_OK
 
 
 def main() -> None:

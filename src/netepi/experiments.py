@@ -104,7 +104,7 @@ class NetworkSource:
         if self.kind == "well_mixed":
             raise ParameterError(f"{self.kind!r} source has no graph form")
         if self.kind == "edge_list":
-            with open(self.path, encoding="utf-8") as fh:
+            with open(self.path, encoding="utf-8", newline="") as fh:  # keep a lone \r
                 return graphs.load_edge_list(fh, compact_ids=self.compact_ids)
         # Looked up per call, so a wrapper installed on the module applies.
         generate = getattr(graphs, f"generate_{self.kind}")
@@ -322,7 +322,7 @@ def experiment_scope_sweep(spec: SweepSpec, experiment_id: str = "exp01") -> Exp
 
 
 def experiment_density_comparison(
-    densities: Sequence[float],
+    densities: Sequence[float] = (0.001, 0.002, 0.003, 0.005, 0.0075, 0.01),
     k_avg: float = 10.0,
     beta: float = 0.1,
     gamma: float = 1.0,
@@ -368,7 +368,7 @@ def experiment_density_comparison(
 
 
 def experiment_intervention_timing(
-    trigger_times: Sequence[float],
+    trigger_times: Sequence[float] = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5),
     n: int = 3000,
     m: int = 20,
     cap: int = 5,

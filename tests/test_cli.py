@@ -1,18 +1,22 @@
+import argparse
 import contextlib
 import copy
 import csv
+import inspect
 import io
 import json
 import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netepi import cli, graphs
+from netepi import cli, experiments, graphs
 from netepi.cli import EXIT_INPUT, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, dispatch
+from netepi.experiments import ExperimentTable, NetworkSource
 
 
 def run_cli(*argv):
@@ -126,6 +130,27 @@ class TestMetrics:
     @pytest.mark.parametrize("command", ["metrics", "simulate"])
     def test_directory_path(self, tmp_path, command):
         assert run_cli(command, str(tmp_path)) == EXIT_INPUT
+
+    @pytest.mark.parametrize("text, code", [
+        (b"0 1\r1 2\n", EXIT_INPUT),  # a lone \r is not a line break, as in load_edge_list
+        (b"0 1\r\n1 2\r\n", EXIT_OK),
+    ], ids=["lone-cr", "crlf"])
+    def test_line_breaks_as_the_parser_reads_them(self, tmp_path, capsys, text, code):
+        path = tmp_path / "g.txt"
+        path.write_bytes(text)
+        assert run_cli("metrics", str(path)) == code
+        captured = capsys.readouterr()
+        if code == EXIT_OK:
+            assert json.loads(captured.out)["edges"] == 2
+        else:
+            assert captured.err.startswith("error: line 1: lines must end in")
+
+    def test_non_utf8_bytes(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"0 1\n\xff\xfe 2\n")
+        assert run_cli("metrics", str(path)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_malformed_edge_list(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -245,15 +270,38 @@ class TestSimulate:
         path.write_text("{\"network\": {}}")
         assert run_cli("simulate", str(path)) == EXIT_INPUT
 
-    @pytest.mark.parametrize("edge_list", ["1 2 3\n", None], ids=["malformed", "missing"])
+    @pytest.mark.parametrize("edge_list", [b"1 2 3\n", None, b"0 1\r1 2\n", b"0 1\n\xff\xfe 2\n"],
+                             ids=["malformed", "missing", "lone-cr", "non-utf8"])
     def test_bad_edge_list_leaves_no_out_dir(self, tmp_path, capsys, edge_list):
         path = tmp_path / "g.txt"
         if edge_list is not None:
-            path.write_text(edge_list)
+            path.write_bytes(edge_list)
         cfg = self.config(tmp_path, network={"edge_list": {"path": str(path)}})
         out = tmp_path / "out"
         assert run_cli("simulate", str(cfg), "--out-dir", str(out)) == EXIT_INPUT
         assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"rates": {"beta": -0.1, "gamma": 1.0}},
+        {"network": {"ba": {"n": 5, "m": 10}}},
+        {"network": {"er": {"n": 50, "p": 0.1}}, "init": {"count": 80, "seed": 5}},
+    ], ids=["negative-beta", "ba-m-not-below-n", "count-above-n"])
+    def test_range_error_is_bad_input(self, tmp_path, capsys, overrides):
+        cfg = self.config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert run_cli("simulate", str(cfg), "--out-dir", str(out)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_bytes(b'{"t_max": \xff}')
+        out = tmp_path / "out"
+        assert run_cli("simulate", str(path), "--out-dir", str(out)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_graph_and_init_seeds_differ(self, tmp_path, monkeypatch):
@@ -416,7 +464,7 @@ class TestSweepAndExperiments:
         (["exp03", "--triggers", "abc"], EXIT_INPUT),
         (["exp03", "--triggers", "nan"], EXIT_INPUT),
         (["exp03", "--triggers", "1,inf"], EXIT_INPUT),
-        (["exp03", "--triggers", "20"], EXIT_RUNTIME),  # finite but past t_max
+        (["exp03", "--triggers", "20"], EXIT_INPUT),  # finite but past t_max
     ], ids=lambda v: " ".join(v[1:]) if isinstance(v, list) else f"exit{v}")
     def test_bad_grid_values(self, tmp_path, capsys, argv, code):
         if argv[0] != "exp02":  # exp02 has no --n: its sizes follow --densities
@@ -458,9 +506,22 @@ class TestSweepAndExperiments:
     def test_density_too_low_for_two_nodes(self, tmp_path, capsys):
         # <k> / d + 1 rounds to one node at d = 0.002: a range error, not a traceback.
         assert run_cli("exp02", "--k-avg", "0.001", "--replicates", "1",
-                       "--out-dir", str(tmp_path / "out")) == EXIT_RUNTIME
+                       "--out-dir", str(tmp_path / "out")) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["exp03", "--n", "60", "--m", "100"],
+        ["exp01", "--n", "5", "--network", "ws"],
+    ], ids=" ".join)
+    def test_range_error_is_bad_input(self, tmp_path, capsys, argv):
+        # Values the option types accept but the model does not (m >= n, k >= n).
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--replicates", "1", "--out-dir", str(out)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_exp01_smoke(self, tmp_path):
         out = tmp_path / "e1"
@@ -502,3 +563,73 @@ class TestSweepAndExperiments:
         assert len(table) == 1 + 4  # (ER, BA) x (sirs, sir-control)
         curves = (out / "exp04_curves.csv").read_text().splitlines()
         assert curves[0].startswith("t,")
+
+
+COMMON_EXP_OPTIONS = {"-h", "--help", "--out-dir", "--replicates", "--base-seed", "--t-max"}
+EXP_OPTIONS = {
+    "exp01": {"--n", "--network", "--beta-max", "--beta-steps"},
+    "exp02": {"--densities", "--k-avg", "--beta"},
+    "exp03": {"--n", "--triggers", "--m", "--cap", "--beta"},
+    "exp04": {"--n", "--beta", "--alpha"},
+}
+
+
+def _exp_parsers() -> dict:
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: p for name, p in sub.choices.items() if name.startswith("exp")}
+
+
+class TestExpOptionsPassThrough:
+    """exp02-exp04 hand the options given, and only those, to their experiment."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {}
+
+        def recorder(command, result):
+            def record(*args, **kwargs):
+                calls[command] = (args, kwargs)
+                return result
+            return record
+
+        table = ExperimentTable("stub", ["a"], [{"a": 1}])
+        curves = {"ER": (np.array([0.0, 0.5]), np.array([0.25, 0.1])),
+                  "ER[sir-control]": (np.array([0.0, 0.5]), np.array([0.3, 0.0]))}
+        monkeypatch.setattr(cli, "experiment_density_comparison", recorder("exp02", table))
+        monkeypatch.setattr(cli, "experiment_intervention_timing", recorder("exp03", table))
+        monkeypatch.setattr(cli, "experiment_sirs", recorder("exp04", (table, curves)))
+        return calls
+
+    @pytest.mark.parametrize("command", ["exp02", "exp03", "exp04"])
+    def test_options_left_out_pass_no_keyword(self, tmp_path, calls, command):
+        assert run_cli(command, "--out-dir", str(tmp_path)) == EXIT_OK
+        args, kwargs = calls[command]
+        assert kwargs == {}
+        if command == "exp04":  # the CLI's own ER/BA pair at the default --n
+            assert args == ([NetworkSource.er(1000, 10 / 999, label="ER"),
+                             NetworkSource.ba(1000, 5, label="BA")],)
+        else:
+            assert args == ()
+        assert (tmp_path / f"{command}_table.csv").read_text() == "a\n1\n"
+
+    def test_given_options_pass_as_parsed(self, tmp_path, calls):
+        assert run_cli("exp03", "--triggers", "0.5,1", "--cap", "3",
+                       "--out-dir", str(tmp_path)) == EXIT_OK
+        args, kwargs = calls["exp03"]
+        assert args == () and kwargs == {"trigger_times": [0.5, 1.0], "cap": 3}
+        assert [type(t) for t in kwargs["trigger_times"]] == [float, float]
+
+    def test_option_strings(self):
+        options = {name: {s for a in p._actions for s in a.option_strings}
+                   for name, p in _exp_parsers().items()}
+        assert options == {name: COMMON_EXP_OPTIONS | own for name, own in EXP_OPTIONS.items()}
+
+    @pytest.mark.parametrize("command, experiment, cli_only", [
+        ("exp02", experiments.experiment_density_comparison, set()),
+        ("exp03", experiments.experiment_intervention_timing, set()),
+        ("exp04", experiments.experiment_sirs, {"n"}),
+    ])
+    def test_every_option_is_a_parameter(self, command, experiment, cli_only):
+        dests = {a.dest for a in _exp_parsers()[command]._actions} - {"help", "out_dir"}
+        assert dests - cli_only <= set(inspect.signature(experiment).parameters)

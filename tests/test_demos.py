@@ -1,4 +1,4 @@
-"""The first three demos run end to end through the public API.
+"""Every demo runs end to end through the public API.
 
 Each runs as its own process in an empty directory, with the package that
 the tests import put first on PYTHONPATH.
@@ -16,11 +16,7 @@ import netepi
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-@pytest.mark.parametrize("name", [
-    "01_generate_and_measure.py",
-    "02_single_outbreak.py",
-    "03_engines_compared.py",
-])
+@pytest.mark.parametrize("name", [path.name for path in sorted(DEMOS.glob("*.py"))])
 def test_demo_runs(tmp_path, name):
     env = dict(os.environ)
     package_root = str(Path(netepi.__file__).resolve().parents[1])
