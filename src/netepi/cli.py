@@ -28,7 +28,9 @@ from .dynamics import (
     init_state,
     summarize_trajectory,
 )
-from .errors import ConfigError, EdgeListFormatError, NetEpiError, ParameterError
+from .errors import (
+    ConfigError, EdgeListFormatError, NetEpiError, ParameterError, UndefinedMetricError,
+)
 from .experiments import (
     NETWORK_FIELDS,
     ExperimentTable,
@@ -315,8 +317,8 @@ def dispatch(argv: Sequence[str]) -> int:
     try:
         args.run(args)
     except (  # every parameter here comes from the user: a bad one is bad input
-        ConfigError, ParameterError, EdgeListFormatError, FileNotFoundError,
-        IsADirectoryError, json.JSONDecodeError, UnicodeDecodeError,
+        ConfigError, ParameterError, EdgeListFormatError, UndefinedMetricError,
+        FileNotFoundError, IsADirectoryError, json.JSONDecodeError, UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

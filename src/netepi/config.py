@@ -175,7 +175,7 @@ def parse_config(text: str) -> RunConfig:
 
     output = _check_keys(_field(doc, "output", dict, "config", {}), {"trajectory", "summary"}, "output")
 
-    return RunConfig(
+    cfg = RunConfig(
         network=network,
         beta=_field(rates, "beta", float, "rates"),
         gamma=_field(rates, "gamma", float, "rates"),
@@ -189,6 +189,9 @@ def parse_config(text: str) -> RunConfig:
         trajectory_path=_field(output, "trajectory", str, "output", None),
         summary_path=_field(output, "summary", str, "output", None),
     )
+    if engine == "abm" and cfg.gamma > 1.0:  # the ABM's per-step recovery probability
+        raise ConfigError(f"rates.gamma must be at most 1 under the abm engine, got {cfg.gamma}")
+    return cfg
 
 
 def parse_sweep_config(text: str) -> SweepSpec:

@@ -206,32 +206,102 @@ def generate_ba(n: int, m: int, seed: int) -> Graph:
     Starts from m isolated seed nodes; each arriving node attaches m edges
     to distinct existing nodes chosen with probability proportional to
     current degree. Final edge count is exactly m * (n - m).
+
+    Node m + r's targets, row r, are m distinct uniform picks from the
+    endpoint list of rows 0..r-1, drawn as `rng.integers(2m·r)` would draw
+    them (`_draw_row`). The first 40·m² rows, where duplicate picks are
+    common, are drawn one node at a time. Later rows are drawn a block at a
+    time: every row's m words are assumed to be its whole draw, and the
+    rows before the first one that a rejected word or a duplicate pick
+    contradicts are kept; that row is redrawn one node at a time, and the
+    next block starts after it. The graph is the same, edge for edge.
     """
     if not 1 <= m < n:
         raise ParameterError(f"need 1 <= m < n, got m={m}, n={n}")
-    rng = np.random.default_rng(seed)
-    # rng.integers(h) replayed on the uint32 words (low half of each 64-bit output first)
-    # by numpy's Lemire rule, for h < 2**32: x = word * h until x % 2**32 >= 2**32 % h.
-    word = chain.from_iterable(iter(lambda: rng.bit_generator.random_raw(4096)
-                                    .astype("<u8").view("<u4").tolist(), None)).__next__
-    # Endpoints repeated by degree: a uniform pick from it is degree-proportional.
-    repeated: list[int] = []
-    targets = list(range(m))
-    for new in range(m, n):
-        repeated.extend(targets)
-        repeated.extend([new] * m)
-        h = len(repeated)
-        reject = (1 << 32) % h
-        chosen: set[int] = set()
-        while len(chosen) < m:
-            x = word() * h
-            while x & 0xFFFFFFFF < reject:
-                x = word() * h
-            chosen.add(repeated[x >> 32])  # the draw is x >> 32
-        targets = sorted(chosen)
+    raw = np.random.default_rng(seed).bit_generator.random_raw
+    words = np.empty(0, np.uint32)
+
+    def through(stop: int) -> np.ndarray:  # words[:stop], drawing more when needed
+        nonlocal words
+        if stop > len(words):  # numpy's order: each 64-bit output's low half first
+            more = raw((stop - len(words)) // 2 + 2048).astype("<u8").view("<u4")
+            words = np.concatenate([words, more])
+        return words[:stop]
+
+    rows = n - m
+    # Row r: node m + r's m targets, then m copies of m + r, which pair up as its
+    # edges. Flat, it is the endpoint list, in which each node appears once per
+    # degree, so a uniform pick from it is degree-proportional.
+    ends = np.empty((rows, 2, m), np.int64)
+    ends[:, 1] = np.arange(m, n)[:, None]
+    ends[0, 0] = np.arange(m)
+    flat = ends.reshape(-1)
+    through(m * rows + m * rows // 16)  # rows past the first few redraw few words
+    r, at = 1, 0  # the next row and word; at - m * (r - 1) words were redrawn so far
+
+    head = min(rows, 40 * m * m)  # one node at a time, on lists: a list read is 5x faster
+    endpoints, head_words = flat[:2 * m].tolist(), through(m * head + m * head // 16).tolist()
+    while r < head:
+        try:
+            targets, stop = _draw_row(endpoints, 2 * m * r, m, head_words, at)
+        except IndexError:
+            head_words = through(2 * len(head_words) + 2).tolist()
+            continue
+        endpoints += targets
+        endpoints += [m + r] * m
+        r, at = r + 1, stop
+    flat[:len(endpoints)] = endpoints
+
+    while r < rows:
+        # About twice the mean run of rows between redrawn words so far.
+        k = min(rows - r, 1024, max(32, 2 * r // (at - m * (r - 1) + 1)))
+        h = np.arange(r, r + k, dtype=np.uint64) * np.uint64(2 * m)
+        x = through(at + k * m)[at:].reshape(k, m) * h[:, None]
+        rejected = ((x & 0xFFFFFFFF) < ((1 << 32) % h)[:, None]).any(axis=1)
+        clean = int(rejected.argmax()) if rejected.any() else k
+        picks = (x[:clean] >> 32).astype(np.int64)
+        block, targets = ends[r:r + clean, 0], flat[picks]
+        # A pick in a target half of this block reads that row once it is
+        # sorted; rows pick only from earlier rows, so each pass settles one more.
+        inner = (picks >= 2 * m * r) & (picks % (2 * m) < m)
+        while True:
+            block[:] = np.sort(targets, axis=1)
+            settled = flat[picks[inner]]
+            if np.array_equal(settled, targets[inner]):
+                break
+            targets[inner] = settled
+        duplicate = (block[:, 1:] == block[:, :-1]).any(axis=1)
+        if duplicate.any():
+            clean = int(duplicate.argmax())
+        r, at = r + clean, at + clean * m
+        if clean < k:  # row r drew a rejected word or a duplicate
+            count = 4 * m
+            while True:
+                try:
+                    ends[r, 0], used = _draw_row(flat, 2 * m * r, m,
+                                                 through(at + count)[at:].tolist(), 0)
+                    break
+                except IndexError:
+                    count *= 4
+            r, at = r + 1, at + used
     # Per new node: its m targets, then m copies of itself, which pair up as its edges.
-    edges = np.array(repeated).reshape(-1, 2, m).transpose(0, 2, 1).reshape(-1, 2)
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, ends.transpose(0, 2, 1).reshape(-1, 2))
+
+
+def _draw_row(endpoints, h: int, m: int, words, at: int) -> tuple[list, int]:
+    """m distinct picks from endpoints[:h] on the uint32 words from words[at],
+    as `rng.integers(h)` draws: numpy's Lemire rule for h < 2**32 takes
+    x = word * h until x % 2**32 >= 2**32 % h, and the draw is x >> 32.
+    Returns the picks sorted and the index of the next word; IndexError if
+    the words run out."""
+    reject = (1 << 32) % h
+    chosen: set[int] = set()
+    while len(chosen) < m:
+        x = words[at] * h
+        at += 1
+        if x & 0xFFFFFFFF >= reject:
+            chosen.add(endpoints[x >> 32])
+    return sorted(chosen), at
 
 
 # A first line "# nodes: N", N of at most 18 digits.

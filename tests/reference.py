@@ -1,16 +1,18 @@
 """Plain references the tests hold the package against: the direct method
-one step at a time, an edge list of pairs, and the line-by-line edge-list
-reader with the format's rules written out one line at a time."""
+one step at a time, an edge list of pairs, the line-by-line edge-list
+reader with the format's rules written out one line at a time, and the
+one-node-at-a-time Barabási–Albert generator."""
 
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from netepi.dynamics import CompartmentState, RateParams
-from netepi.errors import EdgeListFormatError, NetEpiError, StateError
+from netepi.errors import EdgeListFormatError, NetEpiError, ParameterError, StateError
 from netepi.graphs import Graph
 
 INFECTION = "infection"
@@ -132,3 +134,37 @@ def first_offending_line(text: str, compact_ids: bool = False) -> Optional[int]:
                 or header and any(int(i) >= int(header[1]) for i in ids)):
             return number
     return None
+
+
+def generate_ba(n: int, m: int, seed: int) -> Graph:
+    """Barabási–Albert preferential attachment.
+
+    Starts from m isolated seed nodes; each arriving node attaches m edges
+    to distinct existing nodes chosen with probability proportional to
+    current degree. Final edge count is exactly m * (n - m).
+    """
+    if not 1 <= m < n:
+        raise ParameterError(f"need 1 <= m < n, got m={m}, n={n}")
+    rng = np.random.default_rng(seed)
+    # rng.integers(h) replayed on the uint32 words (low half of each 64-bit output first)
+    # by numpy's Lemire rule, for h < 2**32: x = word * h until x % 2**32 >= 2**32 % h.
+    word = chain.from_iterable(iter(lambda: rng.bit_generator.random_raw(4096)
+                                    .astype("<u8").view("<u4").tolist(), None)).__next__
+    # Endpoints repeated by degree: a uniform pick from it is degree-proportional.
+    repeated: list[int] = []
+    targets = list(range(m))
+    for new in range(m, n):
+        repeated.extend(targets)
+        repeated.extend([new] * m)
+        h = len(repeated)
+        reject = (1 << 32) % h
+        chosen: set[int] = set()
+        while len(chosen) < m:
+            x = word() * h
+            while x & 0xFFFFFFFF < reject:
+                x = word() * h
+            chosen.add(repeated[x >> 32])  # the draw is x >> 32
+        targets = sorted(chosen)
+    # Per new node: its m targets, then m copies of itself, which pair up as its edges.
+    edges = np.array(repeated).reshape(-1, 2, m).transpose(0, 2, 1).reshape(-1, 2)
+    return Graph.from_edges(n, edges)

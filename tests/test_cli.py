@@ -120,6 +120,21 @@ class TestMetrics:
     def test_missing_file(self):
         assert run_cli("metrics", "/no/such/file") == EXIT_INPUT
 
+    @pytest.mark.parametrize("text, code", [
+        ("", EXIT_INPUT),  # no node: no degree statistics
+        ("# nodes: 1\n", EXIT_OK),
+    ], ids=["empty", "one-node"])
+    def test_graph_without_nodes_is_bad_input(self, tmp_path, capsys, text, code):
+        path, out = tmp_path / "g.txt", tmp_path / "report.json"
+        path.write_text(text)
+        assert run_cli("metrics", str(path), "--out", str(out)) == code
+        err = capsys.readouterr().err
+        if code == EXIT_OK:
+            assert json.loads(out.read_text())["nodes"] == 1
+        else:
+            assert err == "error: degree statistics undefined on the empty graph\n"
+            assert not out.exists()
+
     @pytest.mark.parametrize("k_min", ["0", "-3", "abc", "2.5"])
     def test_bad_k_min(self, tmp_path, capsys, k_min):
         path = tmp_path / "g.txt"
@@ -247,6 +262,16 @@ class TestSimulate:
         assert run_cli("simulate", str(cfg), "--out-dir", str(out)) == EXIT_OK
         lines = (out / "trajectory.csv").read_text().splitlines()
         assert len(lines) == 1 + 6  # header + steps 0..5
+
+    def test_abm_gamma_above_one_is_bad_input(self, tmp_path, capsys):
+        # The ABM reads gamma as a per-step probability.
+        cfg = self.config(tmp_path, network={"well_mixed": {"n": 500, "k_avg": 10}},
+                          engine="abm", rates={"beta": 0.3, "gamma": 1.5})
+        out = tmp_path / "abm"
+        assert run_cli("simulate", str(cfg), "--out-dir", str(out)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: rates.gamma") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_thin_after_degree_cap_runs(self, tmp_path):
         # The cap leaves BA(500, 6) below the thin's target density; the thin

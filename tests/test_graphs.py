@@ -3,6 +3,7 @@ import hashlib
 import io
 import logging
 import pickle
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from netepi.graphs import (
 )
 
 from invariants import check_graph_invariants
+import reference
 from reference import edges, first_offending_line, load_by_lines
 
 
@@ -226,6 +228,90 @@ class TestGenerateBa:
 
     def test_invariants(self):
         check_graph_invariants(generate_ba(300, 4, seed=11))
+
+
+def traced_ba(n, m, seed):
+    """`reference.generate_ba`, recording for each row r = 1..n-m-1 (the
+    targets of node m + r) the words it took, whether it rejected a word,
+    whether it picked a node twice, and the rows whose target halves it
+    picked from."""
+    rng = np.random.default_rng(seed)
+    word = chain.from_iterable(iter(lambda: rng.bit_generator.random_raw(4096)
+                                    .astype("<u8").view("<u4").tolist(), None)).__next__
+    repeated = []
+    targets = list(range(m))
+    trace = [None]  # row 0 draws nothing
+    for new in range(m, n - 1):
+        repeated.extend(targets)
+        repeated.extend([new] * m)
+        h = len(repeated)
+        reject = (1 << 32) % h
+        chosen = set()
+        used, rejected, repeat, rows = 0, False, False, set()
+        while len(chosen) < m:
+            x, used = word() * h, used + 1
+            while x & 0xFFFFFFFF < reject:
+                x, used, rejected = word() * h, used + 1, True
+            pick = x >> 32
+            repeat |= repeated[pick] in chosen
+            chosen.add(repeated[pick])
+            if pick % (2 * m) < m:
+                rows.add(pick // (2 * m))
+        targets = sorted(chosen)
+        trace.append((used, rejected, repeat, rows))
+    return trace
+
+
+def block_starts(m, trace):
+    """The first row of each block `generate_ba` draws, by its rule: one node
+    at a time below 40 m^2 rows; then blocks of about twice the mean run of
+    rows between redrawn words, each ending at its first row that takes
+    more than m words."""
+    rows = len(trace)
+    r = min(rows, 40 * m * m)
+    at = sum(t[0] for t in trace[1:r])
+    starts = []
+    while r < rows:
+        starts.append(r)
+        k = min(rows - r, 1024, max(32, 2 * r // (at - m * (r - 1) + 1)))
+        end = next((q + 1 for q in range(r, r + k) if trace[q][0] > m), r + k)
+        at += sum(t[0] for t in trace[r:end])
+        r = end
+    return starts
+
+
+# (n, m, seed): tiny graphs, one-node-at-a-time sizes and block-drawn sizes.
+BA_GRID = [(m + d, m, 0) for m in (1, 2, 5) for d in (1, 2)] + [
+    (50, 10, 0), (1000, 5, 1), (3000, 20, 7), (10001, 5, 3), (30000, 5, 1), (30000, 5, 7)]
+
+
+class TestBlockReplayedBa:
+    """`generate_ba` gives the one-node-at-a-time reference's graph."""
+
+    @pytest.mark.parametrize("n, m, seed", BA_GRID)
+    def test_equals_reference(self, n, m, seed):
+        assert generate_ba(n, m, seed) == reference.generate_ba(n, m, seed)
+
+    def test_equals_reference_over_seeds(self):
+        for seed in range(200):
+            assert generate_ba(300, 3, seed) == reference.generate_ba(300, 3, seed), seed
+
+    def test_grid_draws_each_flagged_case_inside_a_block(self):
+        rejected, repeated, inner = set(), set(), set()
+        for n, m, seed in BA_GRID:
+            trace = traced_ba(n, m, seed)
+            starts = block_starts(m, trace)
+            for start, end in zip(starts, starts[1:] + [len(trace)]):
+                for r in range(start, end):
+                    used, rejects, repeats, rows = trace[r]
+                    if rejects:
+                        rejected.add((n, m, seed))
+                    if repeats:
+                        repeated.add((n, m, seed))
+                    if used == m and any(start <= q < r for q in rows):
+                        inner.add((n, m, seed))
+        assert (30000, 5, 1) in rejected
+        assert repeated and inner
 
 
 class TestLoadEdgeList:
