@@ -217,7 +217,7 @@ def _run_config(cfg):
         sol = ode_sirs(eff, FractionState(1.0 - frac, frac), cfg.t_max, cfg.dt)
         return sol, None
     if cfg.engine == "abm":
-        steps = int(round(cfg.t_max))
+        steps = math.floor(cfg.t_max)  # one step per unit of time, none past t_max
         traj = abm_run(cfg.network.n, params, cfg.initial_infected, steps, run_seed)
     elif cfg.network.kind == "well_mixed":
         traj = gillespie_well_mixed(

@@ -81,6 +81,12 @@ def parse_network_block(block: dict, path: str = "network") -> NetworkSource:
         for name, typ in fields.items()
         if inner.get(name) is not None or name not in OPTIONAL_NETWORK_FIELDS
     }
+    if kind == "well_mixed":  # the other sources check their ranges as they build
+        if values["n"] < 1:
+            raise ConfigError(f"{path}.well_mixed.n must be at least 1, got {values['n']}")
+        if values["k_avg"] < 0:
+            raise ConfigError(
+                f"{path}.well_mixed.k_avg must be non-negative, got {values['k_avg']}")
     return getattr(NetworkSource, kind)(**values)
 
 

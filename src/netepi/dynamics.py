@@ -191,14 +191,6 @@ class CompartmentState:
         self.graph = graph
         self._rebuild_caches()
 
-    def rebound(self, graph: Graph) -> "CompartmentState":
-        """A copy of these labels and counts on `graph`, caches rebuilt by
-        `rebind_graph`; this state is left as it is."""
-        twin = copy.copy(self)
-        twin._lab = bytearray(self._lab)
-        twin.rebind_graph(graph)
-        return twin
-
     def infect(self, v: int) -> None:
         lab, items, pos = self._lab, self.si_edges.items, self.si_edges.pos
         if lab[v] != S:
@@ -386,15 +378,17 @@ _CODE_CHANGES = np.array([[-1, 1, 0], [0, -1, 1], [1, 0, -1], [0, 0, 0]], dtype=
 
 
 class _SharedPrefix:
-    """The intervention-free run of one (graph, initial state, rates, t_max,
-    seed), kept across the `gillespie_run` calls of points that differ only
-    in their interventions.
+    """The run record of every network run: the intervention-free run of
+    one (graph, initial state, rates, t_max, seed). A caller keeps one
+    across the `gillespie_run` calls of points that differ only in their
+    interventions; any other run gets a fresh one of its own.
 
     It is paused at time t where the last call that ran on it left it:
     before the draw whose waiting time crossed that call's trigger or
     t_max, or where the run absorbed. A call whose first trigger falls
     after t resumes it there; any other call restarts it from the initial
-    state. `_run_events` forks the caller off it at its trigger.
+    state. `_run_events` forks every run off it at its first trigger, the
+    same way; a record that no caller holds is freed there.
     """
 
     __slots__ = ("run", "t", "pop", "rng", "times", "codes")
@@ -403,15 +397,17 @@ class _SharedPrefix:
         self.run: Optional[tuple] = None  # (g, init, params, t_max, seed)
         self.t = math.inf  # nothing held: the first call restarts it
 
-    def resume(self, run: tuple, first_trigger: float) -> None:
+    def resume(self, run: tuple, first_trigger: float) -> "_SharedPrefix":
         """Keep the held run for a call of `run` whose first trigger falls
-        after its pause; otherwise restart it from `run`'s initial state."""
+        after its pause; otherwise restart it from `run`'s initial state.
+        Returns this record."""
         if run != self.run or not first_trigger > self.t:
             _, init, _, _, seed = run
             self.run, self.t = run, 0.0
             self.pop = init.copy()
             self.rng = _ReplayedDraws(np.random.default_rng(seed).bit_generator)
             self.times, self.codes = [0.0], bytearray()
+        return self
 
 
 def _run_events(pop: CompartmentState | WellMixedPopulation, params: RateParams, t_max: float,
@@ -431,30 +427,26 @@ def _run_events(pop: CompartmentState | WellMixedPopulation, params: RateParams,
     straight from `rng.random(8192)` blocks, which is cheaper per draw
     than a Python method.
 
-    With a `prefix` (network only), the loop goes on along the shared
-    intervention-free run, and `pop` only gives the first row. Up to the
-    first draw whose t + tau crosses the first trigger, both runs draw
-    alike. At that draw this run forks: the shared run pauses before it,
-    and this run goes on with the draws as they are and with copies of the
-    labels, counts, times and codes on the transformed graph. Without a
-    prefix, the same step happens in place.
+    A network run goes on along the intervention-free run of its record
+    `prefix`, and `pop` only gives the first row. Up to the first draw
+    whose t + tau crosses the first trigger, both runs draw alike. At that
+    draw every run forks the same way: the record pauses before it, and
+    this run goes on with the draws as they are, with a twin of the state
+    (its own labels, the record's caches) and copies of the times and
+    codes. Then it drops the record, so a record that no caller holds is
+    freed before the caches are rebuilt on the transformed graph, never
+    beside them. Later triggers rebuild the twin's caches in place.
     """
     if t_max <= 0:
         raise ParameterError(f"t_max must be positive, got {t_max}")
     start = (pop.n_s, pop.n_i, pop.n_r)
-    if prefix is not None:
+    if prefix is None:  # well-mixed
+        rng = np.random.default_rng(seed)
+        draw = chain.from_iterable(iter(lambda: rng.random(8192).tolist(), None)).__next__
+        t, times, codes = 0.0, [0.0], bytearray()
+    else:
         pop, rng, t, times, codes = prefix.pop, prefix.rng, prefix.t, prefix.times, prefix.codes
         draw = rng.random
-    else:
-        rng = np.random.default_rng(seed)
-        if isinstance(pop, WellMixedPopulation):
-            draw = chain.from_iterable(iter(lambda: rng.random(8192).tolist(), None)).__next__
-        else:
-            rng = _ReplayedDraws(rng.bit_generator)
-            draw = rng.random
-        t = 0.0
-        times = [0.0]
-        codes = bytearray()
     # One test per draw: t + tau >= stop when it crosses the next trigger or
     # passes t_max (x > t_max is x >= nextafter(t_max, inf) in doubles).
     after_t_max = math.nextafter(t_max, math.inf)
@@ -469,16 +461,16 @@ def _run_events(pop: CompartmentState | WellMixedPopulation, params: RateParams,
             break
         tau = -math.log(1.0 - draw()) / a_total
         if t + tau >= stop:
-            if prefix is not None:  # the shared run pauses before this draw
+            if prefix is not None:  # the record pauses before this draw
                 prefix.t, prefix.rng = t, rng.clone(back=1)
             if not (pending and t + tau >= pending[0].trigger_time):
                 break
             spec = pending.pop(0)
             graph = spec.apply(pop.graph)
-            if prefix is None:
-                pop.rebind_graph(graph)
-            else:
-                pop, times, codes, prefix = pop.rebound(graph), times.copy(), codes.copy(), None
+            if prefix is not None:  # the fork: a twin, then the record dropped
+                pop, times, codes, prefix = copy.copy(pop), times.copy(), codes.copy(), None
+                pop._lab = bytearray(pop._lab)
+            pop.rebind_graph(graph)
             t = min(spec.trigger_time, t_max)
             stop = min(after_t_max, pending[0].trigger_time) if pending else after_t_max
             continue
@@ -495,7 +487,7 @@ def _run_events(pop: CompartmentState | WellMixedPopulation, params: RateParams,
             codes.append(2)
         times.append(t)
     if prefix is not None:
-        prefix.t = t  # the shared run ended here: absorbed, or past t_max
+        prefix.t = t  # the record's run ended here: absorbed, or past t_max
     if times[-1] != t:
         times.append(t)
         codes.append(3)
@@ -528,20 +520,21 @@ def gillespie_run(
     the pending event is discarded (memorylessness keeps this exact), time
     jumps to the trigger, the graph is transformed and caches rebuilt.
 
-    `prefix` is a private record of the intervention-free run that calls
-    with the same arguments but other interventions may share (see
-    `_SharedPrefix`); the trajectory is the same with or without it.
+    Every run goes on a run record (see `_SharedPrefix`): `prefix`, which
+    calls with the same arguments but other interventions may share, or
+    a fresh one. The trajectory is the same either way. A fresh record is
+    passed straight on, so that only `_run_events` holds it and it is
+    freed at the fork.
     """
     if init.graph is not g:
         raise StateError("initial state was built for a different graph")
     if init.n_s + init.n_i + init.n_r != g.node_count:
         raise StateError("compartment counts do not sum to the population")
     pending = sorted(interventions or [], key=lambda iv: iv.trigger_time)
-    if prefix is None:
-        return _run_events(init.copy(), params, t_max, seed, pending, "network-gillespie")
-    prefix.resume((g, init, params, t_max, seed),
-                  pending[0].trigger_time if pending else math.inf)
-    return _run_events(init, params, t_max, seed, pending, "network-gillespie", prefix)
+    return _run_events(init, params, t_max, seed, pending, "network-gillespie",
+                       (_SharedPrefix() if prefix is None else prefix).resume(
+                           (g, init, params, t_max, seed),
+                           pending[0].trigger_time if pending else math.inf))
 
 
 def gillespie_well_mixed(
@@ -559,6 +552,8 @@ def gillespie_well_mixed(
     """
     if n <= 0:
         raise ParameterError(f"population must be positive, got {n}")
+    if k_avg < 0:
+        raise ParameterError(f"mean degree must be non-negative, got {k_avg}")
     pop = WellMixedPopulation(n, k_avg, resolve_infected_count(n, initial_infected))
     return _run_events(pop, params, t_max, seed, [], "well-mixed-gillespie")
 
@@ -576,6 +571,8 @@ def abm_run(
     probability beta * I(t) / n and every infected agent recovers with
     probability gamma; I(t) is read before any update is applied.
     """
+    if n < 1:
+        raise ParameterError(f"population must be positive, got {n}")
     if steps < 0:
         raise ParameterError(f"steps must be >= 0, got {steps}")
     if params.gamma > 1.0:

@@ -62,6 +62,8 @@ def _integrate(rhs, init: FractionState, params: RateParams, t_max: float, dt: f
         raise ParameterError(f"dt must be positive, got {dt}")
     if t_max <= 0:
         raise ParameterError(f"t_max must be positive, got {t_max}")
+    if not t_max / dt < np.iinfo(np.intp).max / 8:  # numpy's bound on the grid's bytes; also inf
+        raise ParameterError(f"t_max / dt = {t_max / dt:g} steps do not fit in one time grid")
     steps = int(round(t_max / dt))
     times = np.arange(steps + 1) * dt
     # Plain floats in numpy's elementwise order, so every double matches

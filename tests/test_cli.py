@@ -263,6 +263,15 @@ class TestSimulate:
         lines = (out / "trajectory.csv").read_text().splitlines()
         assert len(lines) == 1 + 6  # header + steps 0..5
 
+    def test_abm_stops_at_t_max(self, tmp_path):
+        cfg = self.config(tmp_path, network={"well_mixed": {"n": 500, "k_avg": 10}},
+                          engine="abm", rates={"beta": 0.3, "gamma": 0.5}, t_max=10.6)
+        out = tmp_path / "abm"
+        assert run_cli("simulate", str(cfg), "--out-dir", str(out)) == EXIT_OK
+        with open(out / "trajectory.csv", newline="") as fh:
+            times = [float(row["t"]) for row in csv.DictReader(fh)]
+        assert times == [float(t) for t in range(11)]  # one row per step, the last at t = 10
+
     def test_abm_gamma_above_one_is_bad_input(self, tmp_path, capsys):
         # The ABM reads gamma as a per-step probability.
         cfg = self.config(tmp_path, network={"well_mixed": {"n": 500, "k_avg": 10}},
@@ -311,7 +320,17 @@ class TestSimulate:
         {"rates": {"beta": -0.1, "gamma": 1.0}},
         {"network": {"ba": {"n": 5, "m": 10}}},
         {"network": {"er": {"n": 50, "p": 0.1}}, "init": {"count": 80, "seed": 5}},
-    ], ids=["negative-beta", "ba-m-not-below-n", "count-above-n"])
+        {"network": {"well_mixed": {"n": 1000, "k_avg": -5}}},
+        {"network": {"well_mixed": {"n": 0, "k_avg": 10}}, "engine": "abm"},
+        {"network": {"well_mixed": {"n": -3, "k_avg": 10}}, "engine": "abm"},
+        {"network": {"well_mixed": {"n": 0, "k_avg": 10}}, "engine": "ode",
+         "init": {"count": 1, "seed": 5}},
+        {"network": {"well_mixed": {"n": 1000, "k_avg": 10}}, "engine": "ode", "dt": 1e-300},
+        {"network": {"well_mixed": {"n": 1000, "k_avg": 10}}, "engine": "ode", "dt": 1e-300,
+         "t_max": 1e300},
+    ], ids=["negative-beta", "ba-m-not-below-n", "count-above-n", "well-mixed-negative-k",
+            "abm-n-zero", "abm-n-negative", "ode-n-zero", "ode-grid-too-large",
+            "ode-grid-steps-infinite"])
     def test_range_error_is_bad_input(self, tmp_path, capsys, overrides):
         cfg = self.config(tmp_path, **overrides)
         out = tmp_path / "out"
@@ -431,15 +450,19 @@ class TestBadConfigValues:
 
     @pytest.mark.parametrize("key, value", [
         ("betas", ["x"]), ("replicates", "many"), ("t_max", math.inf), ("t_max", 0),
-        ("networks", 5),
+        ("networks", 5), ("networks", [{"well_mixed": {"n": 50, "k_avg": -5}}]),
     ])
-    def test_bad_sweep_value(self, tmp_path, key, value):
+    def test_bad_sweep_value(self, tmp_path, capsys, key, value):
         doc = {"networks": [{"well_mixed": {"n": 50, "k_avg": 5}}], "betas": [0.1],
                "replicates": 1, "t_max": 1.0}
         doc[key] = value
         spec = tmp_path / "sweep.json"
         spec.write_text(json.dumps(doc))
-        assert run_cli("sweep", str(spec), "--out-dir", str(tmp_path / "out")) == EXIT_INPUT
+        out = tmp_path / "out"
+        assert run_cli("sweep", str(spec), "--out-dir", str(out)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestSweepAndExperiments:

@@ -28,6 +28,8 @@ class TestParseNetworkBlock:
     def test_well_mixed(self):
         src = parse_network_block({"well_mixed": {"n": 500, "k_avg": 10}})
         assert (src.kind, src.k_avg) == ("well_mixed", 10.0)
+        edge = parse_network_block({"well_mixed": {"n": 1, "k_avg": 0}})  # the ranges' ends
+        assert (edge.n, edge.k_avg) == (1, 0.0)
 
     def test_two_sources_rejected(self):
         with pytest.raises(ConfigError):
@@ -67,6 +69,16 @@ class TestParseNetworkBlock:
         with pytest.raises(ConfigError) as err:
             parse_network_block({"er": {"n": "fifty", "p": 0.1}})
         assert "network.er.n" in str(err.value)
+
+    @pytest.mark.parametrize("inner, field", [
+        ({"n": 0, "k_avg": 10}, "network.well_mixed.n"),
+        ({"n": -3, "k_avg": 10}, "network.well_mixed.n"),
+        ({"n": 100, "k_avg": -5}, "network.well_mixed.k_avg"),
+    ])
+    def test_well_mixed_range_named(self, inner, field):
+        with pytest.raises(ConfigError) as err:
+            parse_network_block({"well_mixed": inner})
+        assert field in str(err.value)
 
 
 class TestParseConfig:

@@ -2,6 +2,7 @@ import io
 import math
 import pickle
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -291,6 +292,42 @@ def _network_reference(g, params, init, t_max, seed):
                           lambda: (state.n_s, state.n_i, state.n_r), t_max, seed)
 
 
+def _intervened_reference(g, params, init, t_max, seed, interventions):
+    """The direct method with interventions, written apart from the engine:
+    the first draw whose t + tau reaches the next trigger is dropped, t
+    moves to the trigger (at most t_max), and a new state with the labels
+    as they are is built on the graph the intervention gives. A row at the
+    final t ends the run if the last row is earlier."""
+    pending = sorted(interventions, key=lambda iv: iv.trigger_time)
+    state = CompartmentState(g, init.labels.copy())
+    rng = np.random.default_rng(seed)
+    t, rows = 0.0, [(0.0, state.n_s, state.n_i, state.n_r)]
+    while t < t_max:
+        rates = compute_event_rates(state.graph, state, params)
+        if rates.total <= 0:
+            break
+        tau = sample_waiting_time(rates.total, rng)
+        if pending and t + tau >= pending[0].trigger_time:
+            spec = pending.pop(0)
+            t = min(spec.trigger_time, t_max)
+            state = CompartmentState(spec.apply(state.graph), state.labels.copy())
+            continue
+        if t + tau > t_max:
+            break
+        t += tau
+        kind = select_event(rates, rng)
+        if kind == INFECTION:
+            state.infect(state.si_edges.choose(rng)[0])
+        elif kind == RECOVERY:
+            state.recover(state.infected.choose(rng))
+        else:
+            state.wane(state.recovered.choose(rng))
+        rows.append((t, state.n_s, state.n_i, state.n_r))
+    if rows[-1][0] != t:
+        rows.append((t, *rows[-1][1:]))
+    return rows
+
+
 def _well_mixed_reference(n, k_avg, params, n_i, t_max, seed):
     changes = {INFECTION: (-1, 1, 0), RECOVERY: (0, -1, 1), WANING: (1, 0, -1)}
     c = [n - n_i, n_i, 0]
@@ -374,6 +411,74 @@ class TestEngineMatchesReference:
         expected = _network_reference(g, params, init, 45.0, 1)
         assert len(expected) - 1 > 25_000
         assert _rows(gillespie_run(g, params, init, 45.0, 1)) == expected
+
+
+class TestInterventionsMatchReference:
+    """`gillespie_run` with interventions reproduces `_intervened_reference`
+    row for row, on a caller's run record and on a private one."""
+
+    T_MAX = 10.0
+
+    @classmethod
+    def cases(cls):
+        sirs, sir = RateParams(0.4, 1.0, 0.3), RateParams(0.05, 2.0)
+        cap = lambda t: InterventionSpec(t, "degree_cap", cap=2, seed=3)  # noqa: E731
+        thin = lambda t: InterventionSpec(t, "thin", target=0.01, seed=4)  # noqa: E731
+        # In order of first trigger, so a caller's record resumes from one
+        # case to the next; the absorbed case has other rates and restarts it.
+        return [
+            ("two-interventions", sirs, [thin(2.0), cap(0.8)]),
+            ("degree-cap", sirs, [cap(1.0)]),
+            ("thin", sirs, [thin(1.5)]),
+            ("trigger-just-past-t-max", sirs, [cap(math.nextafter(cls.T_MAX, math.inf))]),
+            ("trigger-far-past-t-max", sirs, [cap(10 * cls.T_MAX)]),
+            ("trigger-after-absorption", sir, [cap(8.0)]),
+        ]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_case_with_and_without_a_callers_record(self, seed):
+        g = generate_er(300, 0.03, seed=1)
+        init = init_state(g, 0.03, seed=seed)
+        record = _SharedPrefix()
+        for name, params, interventions in self.cases():
+            expected = _intervened_reference(g, params, init, self.T_MAX, seed, interventions)
+            private = gillespie_run(g, params, init, self.T_MAX, seed, interventions)
+            shared = gillespie_run(g, params, init, self.T_MAX, seed, interventions, record)
+            assert _rows(private) == expected, name
+            assert _rows(shared) == expected, name
+            if name == "trigger-just-past-t-max":  # time jumped to t_max: a repeated row
+                assert expected[-1][0] == self.T_MAX and expected[-1][1:] == expected[-2][1:]
+            if name == "trigger-after-absorption":
+                assert expected[-1][2] == 0 and expected[-1][0] < 8.0, expected[-1]
+            if name in ("two-interventions", "degree-cap", "thin"):  # the run went on
+                assert expected[-1][0] > max(iv.trigger_time for iv in interventions), name
+
+    def test_a_private_record_is_freed_at_the_fork(self, monkeypatch):
+        # Every state `copy()` makes is watched. When the caches are rebuilt
+        # on a new graph, none may be alive but the state being rebuilt: a
+        # private record's state there would hold a second S-I edge set at
+        # the peak. (CPython 3.11 moves call arguments into the callee's
+        # frame, so the record `gillespie_run` passes on is not held there.)
+        made, alive = [], []
+        copy_state, rebind = CompartmentState.copy, CompartmentState.rebind_graph
+
+        def spy_copy(state):
+            twin = copy_state(state)
+            made.append(weakref.ref(twin))
+            return twin
+
+        def spy_rebind(state, graph):
+            alive.append(sum(1 for ref in made if ref() is not None and ref() is not state))
+            rebind(state, graph)
+
+        monkeypatch.setattr(CompartmentState, "copy", spy_copy)
+        monkeypatch.setattr(CompartmentState, "rebind_graph", spy_rebind)
+        g = generate_er(2000, 0.005, seed=3)
+        init = init_state(g, 0.02, seed=4)
+        thin = [InterventionSpec(t, "thin", target=0.003, seed=1) for t in (1.0, 2.0)]
+        traj = gillespie_run(g, RateParams(0.4, 1.0, 0.5), init, 4.0, 5, thin)
+        assert traj.times[-1] > 2.0
+        assert made and alive == [0, 0]
 
 
 class _CountingPCG64:
@@ -574,6 +679,11 @@ class TestGillespieWellMixed:
         traj = gillespie_well_mixed(500, 8.0, RateParams(0.3, 1.0, 0.2), 0.02, 20.0, seed=3)
         assert np.all(traj.s + traj.i + traj.r == 500)
 
+    @pytest.mark.parametrize("n, k_avg", [(0, 10.0), (-3, 10.0), (1000, -5.0)])
+    def test_range_rejected(self, n, k_avg):
+        with pytest.raises(ParameterError):
+            gillespie_well_mixed(n, k_avg, RateParams(0.3, 1.0), 1, 5.0, seed=1)
+
 
 class TestAbmRun:
     def test_beta_zero_no_infections(self):
@@ -588,6 +698,11 @@ class TestAbmRun:
     def test_gamma_above_one_rejected(self):
         with pytest.raises(ProbabilityOverflowError):
             abm_run(100, RateParams(0.1, 1.5), 10, steps=5, seed=0)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_population_rejected(self, n):
+        with pytest.raises(ParameterError):
+            abm_run(n, RateParams(0.1, 0.5), 0.01, steps=5, seed=0)
 
     def test_mean_matches_meanfield_map(self):
         # Oracle: the exact expectation map of the Bernoulli update rule.

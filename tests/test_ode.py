@@ -87,6 +87,12 @@ class TestOdeSir:
         ]
         assert 10.0 < err[0] / err[1] < 22.0  # ~2^4 for a 4th-order method
 
+    @pytest.mark.parametrize("t_max, dt", [(5.0, 1e-300), (1e300, 1e-300)],
+                             ids=["too-many-steps", "infinite-steps"])
+    def test_grid_numpy_cannot_hold_rejected(self, t_max, dt):
+        with pytest.raises(ParameterError):
+            ode_sir(RateParams(0.3, 0.1), FractionState(0.99, 0.01), t_max, dt)
+
     def test_csv_format(self):
         sol = ode_sir(RateParams(0.0, 1.0), FractionState(0.9, 0.1), 0.02, dt=0.01)
         buf = io.StringIO()
