@@ -125,7 +125,7 @@ def _build_parser() -> _Parser:
     swp.add_argument("config", help="sweep-spec JSON path")
     swp.add_argument("--out-dir", default=".")
 
-    # An option left out never reaches exp02-exp04's experiment functions
+    # An option left out never reaches an experiment function or SweepSpec
     # (SUPPRESS): their signatures hold the only defaults.
     for exp_id, helptext, run in (
         ("exp01", "epidemic-scope threshold sweep", _cmd_exp01),
@@ -148,7 +148,6 @@ def _build_parser() -> _Parser:
     )
     exp01.add_argument("--beta-max", type=rate, default=0.3)
     exp01.add_argument("--beta-steps", type=count, default=13)
-    exp01.set_defaults(replicates=50, base_seed=0, n=1000, t_max=30.0)
     exp02.add_argument("--densities", type=_numbers("in (0, 1]", lambda x: 0 < x <= 1))
     exp02.add_argument("--k-avg", type=positive)
     exp02.add_argument("--beta", type=rate)
@@ -158,7 +157,8 @@ def _build_parser() -> _Parser:
     exp03.add_argument("--beta", type=rate)
     exp04.add_argument("--beta", type=rate)
     exp04.add_argument("--alpha", type=rate)
-    exp04.set_defaults(n=1000)
+    for p in (exp01, exp04):
+        p.set_defaults(n=1000)  # the node count of their `_networks`
     return parser
 
 
@@ -273,20 +273,19 @@ def _networks(names: Optional[Sequence[str]], n: int) -> list[NetworkSource]:
     return [sources[name] for name in names or sources]
 
 
-def _cmd_exp01(args) -> None:
-    spec = SweepSpec(
-        networks=_networks(args.network, args.n),
-        betas=[round(b, 10) for b in np.linspace(0.0, args.beta_max, args.beta_steps)],
-        gamma=1.0, initial_fraction=0.01, t_max=args.t_max, replicates=args.replicates,
-        base_seed=args.base_seed,
-    )
-    _write_table(experiment_scope_sweep(spec), args)
-
-
 def _options(args, *cli_only: str) -> dict:
     """The options given to an exp subcommand, as its experiment's keywords."""
     return {key: value for key, value in vars(args).items()
             if key not in ("command", "run", "out_dir", *cli_only)}
+
+
+def _cmd_exp01(args) -> None:
+    spec = SweepSpec(
+        networks=_networks(args.network, args.n),
+        betas=[round(b, 10) for b in np.linspace(0.0, args.beta_max, args.beta_steps)],
+        **_options(args, "network", "n", "beta_max", "beta_steps"),
+    )
+    _write_table(experiment_scope_sweep(spec), args)
 
 
 def _cmd_exp02(args) -> None:

@@ -1,6 +1,6 @@
 """JSON run-configuration parsing and validation.
 
-Every value is coerced to its type here, once. A value of the wrong type,
+Every value is checked against its type here, once. A value of the wrong type,
 a non-finite number or a block that is not an object is a ConfigError;
 a missing or null optional field takes its default.
 """
@@ -24,18 +24,24 @@ _REQUIRED = object()
 
 
 def _coerce(value, typ: type, where: str):
-    """`value` as `typ`: JSON types must match, numbers must be finite."""
+    """`value` as `typ`: JSON types must match. A number field takes any
+    finite JSON number, an integer field one with no fractional part (1e3
+    is 1000); a boolean or a string is neither."""
     if typ in _JSON_TYPES:
         if not isinstance(value, typ):
             raise ConfigError(f"{where} must be {_JSON_TYPES[typ]}, got {value!r}")
         return value
-    try:
-        out = typ(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    if not math.isfinite(out):
+    noun = "an integer" if typ is int else "a number"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be {noun}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{where} must be finite, got {value!r}")
-    return out
+    if typ is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{where} must be {noun}, got {value!r}")
+    try:
+        return typ(value)
+    except OverflowError as exc:  # an integer past the largest double
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _field(block: dict, key: str, typ: type, path: str, default=_REQUIRED):

@@ -81,40 +81,38 @@ class _ReplayedDraws:
     then x >> 32 (the rule `graphs.generate_ba` replays). integers(1) takes
     no bits. Exact for 1 <= h < 2**32 only; numpy draws differently above.
 
-    `unread` words are read before the bit generator's, and `high` is a
-    buffered high half; `clone` passes both on.
+    A place in the stream is (words read, buffered high half): built with
+    it on a fresh bit generator of the same seed, a replay jumps there with
+    `advance` and draws what the one that gave `position()` draws next.
     """
 
-    __slots__ = ("_bits", "_block", "_word", "_high")
+    __slots__ = ("_block", "_word", "_high")
 
-    def __init__(self, bit_generator: np.random.BitGenerator, unread: Sequence[int] = (),
+    def __init__(self, bit_generator: np.random.BitGenerator, read: int = 0,
                  high: Optional[int] = None):
-        # _block holds the words being read and their list iterator. The
-        # block generator refers to this holder, never to self: a method of
-        # self in the word chain would be a reference cycle, which keeps
-        # every block alive until the cyclic collector runs.
-        block = [list(unread), None]
-        block[1] = iter(block[0])
+        if read:
+            bit_generator.advance(read)
+        # _block: the index of the block's first word, its words, their
+        # iterator. The block generator refers to this holder, never to self:
+        # a method of self in the word chain would be a reference cycle,
+        # which keeps every block alive until the cyclic collector runs.
+        block = [read, [], iter(())]
 
         def blocks():
             while True:
-                yield block[1]
-                block[0] = bit_generator.random_raw(8192).tolist()
-                block[1] = iter(block[0])
+                yield block[2]
+                block[0] += len(block[1])
+                block[1] = bit_generator.random_raw(8192).tolist()
+                block[2] = iter(block[1])
 
-        self._bits, self._block, self._high = bit_generator, block, high
+        self._block, self._high = block, high
         self._word = chain.from_iterable(blocks()).__next__
 
-    def clone(self, back: int = 0) -> "_ReplayedDraws":
-        """An independent copy that draws what this one draws next, or from
-        `back` words earlier in the current block: back = 1 right after
-        random() undoes it, as it took one word and left the high half alone.
-        The position is the bit generator's state (past the current block),
-        the block's unread words and the buffered high half."""
-        words, it = self._block
-        bits = type(self._bits)()
-        bits.state = self._bits.state
-        return _ReplayedDraws(bits, words[len(words) - length_hint(it) - back:], self._high)
+    def position(self, back: int = 0) -> tuple[int, Optional[int]]:
+        """(words read - `back`, buffered high half): back = 1 right after
+        random() undoes it, as it took one word and left the high half alone."""
+        first, words, it = self._block
+        return first + len(words) - length_hint(it) - back, self._high
 
     def random(self) -> float:
         return (self._word() >> 11) * 2.0 ** -53
@@ -383,15 +381,19 @@ class _SharedPrefix:
     across the `gillespie_run` calls of points that differ only in their
     interventions; any other run gets a fresh one of its own.
 
-    It is paused at time t where the last call that ran on it left it:
-    before the draw whose waiting time crossed that call's trigger or
-    t_max, or where the run absorbed. A call whose first trigger falls
-    after t resumes it there; any other call restarts it from the initial
-    state. `_run_events` forks every run off it at its first trigger, the
-    same way; a record that no caller holds is freed there.
+    It holds data only: the state, times and codes at time t, where the
+    last call that ran on it paused it, and `at`, the stream position
+    (`_ReplayedDraws.position`) of the draw it paused before, whose waiting
+    time crossed that call's trigger or t_max. A call whose first trigger
+    falls after t resumes it there; any other call restarts it from the
+    initial state. `_run_events` forks every run off it at its first
+    trigger, the same way; a record that no caller holds is freed there.
+    A run that stops with no draw pending, absorbed or at t == t_max, keeps
+    its last `at`: no resume reads it, as an absorbed run breaks before it
+    draws and at t_max the loop does not start (`TestSharedPrefix` has both).
     """
 
-    __slots__ = ("run", "t", "pop", "rng", "times", "codes")
+    __slots__ = ("run", "t", "pop", "at", "times", "codes")
 
     def __init__(self):
         self.run: Optional[tuple] = None  # (g, init, params, t_max, seed)
@@ -402,10 +404,7 @@ class _SharedPrefix:
         after its pause; otherwise restart it from `run`'s initial state.
         Returns this record."""
         if run != self.run or not first_trigger > self.t:
-            _, init, _, _, seed = run
-            self.run, self.t = run, 0.0
-            self.pop = init.copy()
-            self.rng = _ReplayedDraws(np.random.default_rng(seed).bit_generator)
+            self.run, self.t, self.at, self.pop = run, 0.0, (0, None), run[1].copy()
             self.times, self.codes = [0.0], bytearray()
         return self
 
@@ -420,15 +419,14 @@ def _run_events(pop: CompartmentState | WellMixedPopulation, params: RateParams,
     interventions, sorted by trigger time, need a network population.
 
     Both populations draw the doubles `np.random.default_rng(seed)` would
-    give, in blocks. A network population also picks targets with
-    `integers(h)` between the uniforms, so it draws through
-    `_ReplayedDraws`, which interleaves both calls on one stream of raw
-    words. A well-mixed population draws no integers: its uniforms come
-    straight from `rng.random(8192)` blocks, which is cheaper per draw
-    than a Python method.
+    give. A network population also picks targets with `integers(h)`, so
+    it draws through `_ReplayedDraws`, which interleaves both calls on one
+    stream of raw words. A well-mixed one draws no integers: its uniforms
+    come from `rng.random(8192)` blocks, cheaper per draw than a method.
 
     A network run goes on along the intervention-free run of its record
-    `prefix`, and `pop` only gives the first row. Up to the first draw
+    `prefix`, and `pop` only gives the first row; its stream starts from
+    `seed` at the record's position (0 on a restart). Up to the first draw
     whose t + tau crosses the first trigger, both runs draw alike. At that
     draw every run forks the same way: the record pauses before it, and
     this run goes on with the draws as they are, with a twin of the state
@@ -445,7 +443,8 @@ def _run_events(pop: CompartmentState | WellMixedPopulation, params: RateParams,
         draw = chain.from_iterable(iter(lambda: rng.random(8192).tolist(), None)).__next__
         t, times, codes = 0.0, [0.0], bytearray()
     else:
-        pop, rng, t, times, codes = prefix.pop, prefix.rng, prefix.t, prefix.times, prefix.codes
+        pop, t, times, codes = prefix.pop, prefix.t, prefix.times, prefix.codes
+        rng = _ReplayedDraws(np.random.default_rng(seed).bit_generator, *prefix.at)
         draw = rng.random
     # One test per draw: t + tau >= stop when it crosses the next trigger or
     # passes t_max (x > t_max is x >= nextafter(t_max, inf) in doubles).
@@ -462,7 +461,7 @@ def _run_events(pop: CompartmentState | WellMixedPopulation, params: RateParams,
         tau = -math.log(1.0 - draw()) / a_total
         if t + tau >= stop:
             if prefix is not None:  # the record pauses before this draw
-                prefix.t, prefix.rng = t, rng.clone(back=1)
+                prefix.t, prefix.at = t, rng.position(back=1)
             if not (pending and t + tau >= pending[0].trigger_time):
                 break
             spec = pending.pop(0)

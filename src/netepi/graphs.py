@@ -99,6 +99,7 @@ class Graph:
         """
         if n < 0:
             raise ParameterError("node count must be >= 0")
+        _check_array(n + 1, f"the offsets of {n} nodes")
         try:
             pairs = np.asarray(edges if isinstance(edges, np.ndarray)
                                else list(edges) or np.empty((0, 2), dtype=np.int64))
@@ -130,6 +131,12 @@ class Graph:
         return np.diff(self.indptr)
 
 
+def _check_array(count: int, what: str) -> None:
+    """numpy's bound on one array, as in `ode._integrate`: its bytes fit in an intp."""
+    if count * 8 > np.iinfo(np.intp).max:
+        raise ParameterError(f"{what} ({count} int64 values) do not fit in one array")
+
+
 @dataclass(frozen=True)
 class DegreeStats:
     """Degree-based summary of a graph."""
@@ -145,6 +152,7 @@ def generate_er(n: int, p: float, seed: int) -> Graph:
         raise ParameterError(f"edge probability must be in [0, 1], got {p}")
     if n < 0:
         raise ParameterError("node count must be >= 0")
+    _check_array(n + 1, f"the offsets of {n} nodes")
     rng = np.random.default_rng(seed)
     if n < 2 or p == 0.0:
         return Graph.from_edges(n, [])
@@ -181,6 +189,7 @@ def generate_ws(n: int, k: int, p_rewire: float, seed: int) -> Graph:
         raise ParameterError(f"need 0 < k < n, got k={k}, n={n}")
     if not 0.0 <= p_rewire <= 1.0:
         raise ParameterError(f"rewiring probability must be in [0, 1], got {p_rewire}")
+    _check_array(n + 1, f"the offsets of {n} nodes")
     rng = np.random.default_rng(seed)
     adj = [{(u + j) % n for j in range(-(k // 2), k // 2 + 1) if j} for u in range(n)]
     for u in range(n):
@@ -218,6 +227,8 @@ def generate_ba(n: int, m: int, seed: int) -> Graph:
     """
     if not 1 <= m < n:
         raise ParameterError(f"need 1 <= m < n, got m={m}, n={n}")
+    _check_array(n + 1, f"the offsets of {n} nodes")
+    _check_array((n - m) * 2 * m, f"the endpoints of BA({n}, {m})")
     raw = np.random.default_rng(seed).bit_generator.random_raw
     words = np.empty(0, np.uint32)
 

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import dataclasses
 import inspect
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from netepi import cli, experiments, graphs
 from netepi.cli import EXIT_INPUT, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, dispatch
-from netepi.experiments import ExperimentTable, NetworkSource
+from netepi.experiments import ExperimentTable, NetworkSource, SweepSpec
 
 
 def run_cli(*argv):
@@ -181,6 +182,22 @@ class TestMetrics:
         path.write_text(text)
         assert run_cli("metrics", str(path)) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: line {line}: node ids must be below")
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "ba", "--n", "1000000000000000000", "--m", "5"],  # its endpoint array
+        ["--model", "ba", "--n", "100000000000000000000", "--m", "3"],
+        ["--model", "er", "--n", "10000000000000000000", "--p", "0"],
+        ["--model", "er", "--n", "2000000000000000000", "--p", "0"],
+    ], ids=["ba-endpoints", "ba", "er-past-int64", "er"])
+    def test_node_count_past_any_numpy_array(self, tmp_path, capsys, argv):
+        # Arrays numpy cannot represent at all (past np.iinfo(np.intp).max
+        # bytes) are bad input, checked before any work.
+        out = tmp_path / "g.txt"
+        assert run_cli("generate", *argv, "--out", str(out)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "do not fit in one array" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["metrics", "generate"])
     def test_allocation_beyond_any_address_space(self, tmp_path, capsys, command):
@@ -416,6 +433,8 @@ def _simulate(doc) -> tuple[int, str]:
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = dispatch(["simulate", "run.json", "--out-dir", "out"])
+        if code != EXIT_OK:  # a failed run writes nothing
+            assert os.listdir(".") == ["run.json"]
     return code, err.getvalue()
 
 
@@ -432,11 +451,26 @@ class TestBadConfigValues:
         (("dt",), -0.5),
         (("interventions", 0, "cap"), "x"),
         (("init", "seed"), -1),
+        # Numbers are checked, not coerced: no bool, string or fraction
+        # for an integer, no bool or string for a number.
+        (("network", "er", "n"), True),
+        (("network", "er", "n"), 100.7),
+        (("network", "er", "n"), "100"),
+        (("rates", "beta"), "0.5"),
+        (("rates", "beta"), True),
+        (("init", "seed"), 2.9),
+        (("init",), {"count": 3.9, "seed": 3}),
+        (("t_max",), "5"),
+        (("network",), {"ba": {"n": 1e20, "m": 3}}),  # offsets past any numpy array
     ])
     def test_fails_at_parse_time(self, path, value):
         code, err = _simulate(_with(VALID_CONFIG, path, value))
         assert code == EXIT_INPUT
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: ") and "Traceback" not in err and err.count("\n") == 1
+
+    def test_integral_float_loads_as_an_integer(self):
+        doc = _with(VALID_CONFIG, ("network", "er", "n"), 4e1)
+        assert _simulate(doc) == (EXIT_OK, "")
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -451,6 +485,8 @@ class TestBadConfigValues:
     @pytest.mark.parametrize("key, value", [
         ("betas", ["x"]), ("replicates", "many"), ("t_max", math.inf), ("t_max", 0),
         ("networks", 5), ("networks", [{"well_mixed": {"n": 50, "k_avg": -5}}]),
+        ("replicates", 1.9), ("replicates", True), ("base_seed", 2.9), ("t_max", "5"),
+        ("betas", [True]), ("betas", ["0.5"]),
     ])
     def test_bad_sweep_value(self, tmp_path, capsys, key, value):
         doc = {"networks": [{"well_mixed": {"n": 50, "k_avg": 5}}], "betas": [0.1],
@@ -489,6 +525,47 @@ class TestSweepAndExperiments:
         assert run_cli("sweep", str(spec), "--out-dir", str(tmp_path / "out")) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "NETEPI_WORKERS" in err and "Traceback" not in err
+
+    def test_process_pool_writes_the_serial_bytes(self, tmp_path, monkeypatch):
+        # NETEPI_WORKERS=2 runs the replicates in a pool of two processes:
+        # exp03's fork off shared records and reuse each replicate's capped
+        # graph, and a sweep mixes an edge-list file, a well-mixed source and
+        # an intervention. Each writes the bytes of the serial run.
+        edges = tmp_path / "ba.txt"
+        assert run_cli("generate", "--model", "ba", "--n", "150", "--m", "3", "--seed", "2",
+                       "--out", str(edges)) == EXIT_OK
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({
+            "networks": [{"edge_list": {"path": str(edges)}},
+                         {"well_mixed": {"n": 150, "k_avg": 6}}],
+            "betas": [0.2, 0.4], "replicates": 3, "t_max": 4.0,
+            "intervention": {"t": 1.0, "action": "thin", "target": 0.02, "seed": 1},
+        }))
+        runs = {"exp03": ["exp03", "--triggers", "0.5,1.0", "--n", "200", "--m", "4",
+                          "--cap", "3", "--beta", "0.5", "--t-max", "5", "--replicates", "3"],
+                "sweep": ["sweep", str(spec)]}
+        pools = []
+
+        class CountingPool(experiments.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+        written = {}
+        for workers in (None, "2"):
+            if workers is None:
+                monkeypatch.delenv("NETEPI_WORKERS", raising=False)
+            else:
+                monkeypatch.setenv("NETEPI_WORKERS", workers)
+            for name, argv in runs.items():
+                out = tmp_path / f"{name}-{workers}"
+                assert run_cli(*argv, "--out-dir", str(out)) == EXIT_OK
+                written[name, workers] = [(out / f"{name}_{part}").read_bytes()
+                                          for part in ("table.csv", "manifest.json")]
+        assert pools == [2, 2]
+        for name in runs:
+            assert written[name, "2"] == written[name, None], name
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_workers_below_one(self, tmp_path, monkeypatch, capsys, value):
@@ -629,7 +706,8 @@ def _exp_parsers() -> dict:
 
 
 class TestExpOptionsPassThrough:
-    """exp02-exp04 hand the options given, and only those, to their experiment."""
+    """exp01-exp04 hand the options given, and only those, to their
+    experiment (exp01: to its SweepSpec)."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -644,6 +722,7 @@ class TestExpOptionsPassThrough:
         table = ExperimentTable("stub", ["a"], [{"a": 1}])
         curves = {"ER": (np.array([0.0, 0.5]), np.array([0.25, 0.1])),
                   "ER[sir-control]": (np.array([0.0, 0.5]), np.array([0.3, 0.0]))}
+        monkeypatch.setattr(cli, "experiment_scope_sweep", recorder("exp01", table))
         monkeypatch.setattr(cli, "experiment_density_comparison", recorder("exp02", table))
         monkeypatch.setattr(cli, "experiment_intervention_timing", recorder("exp03", table))
         monkeypatch.setattr(cli, "experiment_sirs", recorder("exp04", (table, curves)))
@@ -661,6 +740,27 @@ class TestExpOptionsPassThrough:
             assert args == ()
         assert (tmp_path / f"{command}_table.csv").read_text() == "a\n1\n"
 
+    def test_exp01_options_left_out_take_the_sweep_defaults(self, tmp_path, calls):
+        assert run_cli("exp01", "--out-dir", str(tmp_path)) == EXIT_OK
+        (spec,), kwargs = calls["exp01"]
+        assert kwargs == {}
+        assert spec.networks == [NetworkSource.ba(1000, 5, label="BA"),
+                                 NetworkSource.er(1000, 10 / 999, label="ER"),
+                                 NetworkSource.ws(1000, 10, 0.1, label="WS"),
+                                 NetworkSource.well_mixed(1000, 10, label="well-mixed")]
+        assert spec.betas == [round(b, 10) for b in np.linspace(0.0, 0.3, 13)]
+        for f in dataclasses.fields(SweepSpec)[2:]:
+            assert getattr(spec, f.name) == f.default, f.name
+
+    def test_exp01_given_options_pass_as_parsed(self, tmp_path, calls):
+        assert run_cli("exp01", "--network", "er", "--n", "60", "--beta-max", "0.2",
+                       "--beta-steps", "3", "--replicates", "7", "--base-seed", "3",
+                       "--t-max", "2.5", "--out-dir", str(tmp_path)) == EXIT_OK
+        (spec,), kwargs = calls["exp01"]
+        assert spec == SweepSpec(networks=[NetworkSource.er(60, 10 / 59, label="ER")],
+                                 betas=[0.0, 0.1, 0.2], t_max=2.5, replicates=7, base_seed=3)
+        assert (type(spec.replicates), type(spec.base_seed), type(spec.t_max)) == (int, int, float)
+
     def test_given_options_pass_as_parsed(self, tmp_path, calls):
         assert run_cli("exp03", "--triggers", "0.5,1", "--cap", "3",
                        "--out-dir", str(tmp_path)) == EXIT_OK
@@ -674,6 +774,7 @@ class TestExpOptionsPassThrough:
         assert options == {name: COMMON_EXP_OPTIONS | own for name, own in EXP_OPTIONS.items()}
 
     @pytest.mark.parametrize("command, experiment, cli_only", [
+        ("exp01", SweepSpec, {"network", "n", "beta_max", "beta_steps"}),
         ("exp02", experiments.experiment_density_comparison, set()),
         ("exp03", experiments.experiment_intervention_timing, set()),
         ("exp04", experiments.experiment_sirs, {"n"}),

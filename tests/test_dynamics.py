@@ -1,3 +1,4 @@
+import gc
 import io
 import math
 import pickle
@@ -521,26 +522,33 @@ class TestReplayedDraws:
     @pytest.mark.parametrize("words", [0, 1, 8190, 8192, 8193, 20_000])
     @pytest.mark.parametrize("held", [False, True])
     def test_clone_draws_what_the_original_draws(self, words, held):
-        # The clone is taken mid-block, a few words before a block boundary,
-        # on one, and before any block; with or without a buffered high half.
+        # A clone is a replay built at the original's `position()` on a fresh
+        # generator of the same seed. The position is taken mid-block, a few
+        # words before a block boundary, on one, and before any block; with
+        # or without a buffered high half.
         replay = _ReplayedDraws(np.random.PCG64(words))
         for _ in range(words - held):
             replay.random()
         if held:
             replay.integers(7)  # takes a word's low half, buffers its high half
-        clone = replay.clone()
-        assert (clone._high is not None) is held
+        read, high = replay.position()
+        assert read == max(words, held) and (high is not None) is held
+        clone = _ReplayedDraws(np.random.default_rng(words).bit_generator, read, high)
         ahead = self._ops(clone, words)
         assert self._ops(replay, words) == ahead
 
     @pytest.mark.parametrize("words", [1, 8191, 8192])
     def test_clone_back_one_word_undoes_random(self, words):
+        # integers(5) holds a high half, and the last random() takes the
+        # last word of the first block (8191) or the first of the second.
         replay = _ReplayedDraws(np.random.PCG64(3))
         replay.integers(5)
         for _ in range(words - 1):
             replay.random()
         last = replay.random()
-        clone = replay.clone(back=1)
+        read, high = replay.position(back=1)
+        assert read == words and high is not None
+        clone = _ReplayedDraws(np.random.default_rng(3).bit_generator, read, high)
         assert clone.random() == last
         assert self._ops(clone, 4) == self._ops(replay, 4)
 
@@ -580,6 +588,17 @@ class TestSharedPrefix:
         cap = [InterventionSpec(t, "degree_cap", cap=1) for t in (0.05, 5.0, 8.0)]
         runs = self.assert_fresh_equal(g, init, 10.0, 3, [(params, [iv]) for iv in cap])
         assert runs[1].i[-1] == 0 and runs[1].times[-1] < 5.0
+
+    def test_a_paused_record_holds_data_only(self):
+        # The record keeps the paused draw's stream position, not a stream.
+        g = generate_er(300, 0.02, seed=2)
+        init, params = init_state(g, 5, seed=3), RateParams(0.4, 1.0, 0.2)
+        prefix = _SharedPrefix()
+        thin = [InterventionSpec(1.0, "thin", target=0.01, seed=1)]
+        gillespie_run(g, params, init, 10.0, 4, thin, prefix=prefix)
+        read, high = prefix.at
+        assert 0 < prefix.t < 1.0 and read > 0 and (high is None or 0 <= high < 2**32)
+        assert not any(isinstance(x, _ReplayedDraws) for x in gc.get_referents(prefix))
 
     def test_points_around_t_max_and_other_point_shapes(self):
         # The intervention-free run stops at the draw past t_max, after its

@@ -115,6 +115,13 @@ class TestFromEdges:
             assert (g.adjacency, g.edge_count) == want
         assert edges(Graph.from_edges(40, pairs)) == sorted({(min(p), max(p)) for p in as_tuples})
 
+    @pytest.mark.parametrize("n", [2 * 10**18, 10**20])
+    def test_offsets_past_any_numpy_array(self, n):
+        # n + 1 int64 offsets past np.iinfo(np.intp).max bytes: bad input,
+        # not a ValueError or OverflowError from numpy.
+        with pytest.raises(ParameterError, match=f"the offsets of {n} nodes"):
+            Graph.from_edges(n, [(0, 1)])
+
     def test_neighbour_ids_are_shared_objects(self):
         # Ids above 256 are not interned by Python; one object each keeps memory down.
         g = generate_ba(1000, 3, seed=1)
