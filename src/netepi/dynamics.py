@@ -2,9 +2,10 @@
 
 Three engines share the Trajectory record:
 
-* exact Gillespie simulation of SIR/SIRS on a contact network,
-* the same event loop (`_run_events`) on a well-mixed population
-  (`WellMixedPopulation`, counts only, in place of `CompartmentState`),
+* exact Gillespie simulation of SIR/SIRS on a contact network
+  (`_run_events`),
+* exact Gillespie simulation on a well-mixed population, counts only, run
+  as its jump chain with the clock computed a block of events at a time,
 * a discrete-time, synchronous agent-based SIR.
 
 A waning-immunity rate of zero turns SIRS into plain SIR everywhere.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from operator import length_hint
@@ -346,33 +348,23 @@ def summarize_trajectory(traj: Trajectory) -> TrajectorySummary:
     )
 
 
-class WellMixedPopulation:
-    """Compartment counts under homogeneous mixing; no node identities."""
-
-    __slots__ = ("n", "k_avg", "n_s", "n_i", "n_r")
-
-    def __init__(self, n: int, k_avg: float, n_i: int):
-        self.n, self.k_avg = n, k_avg
-        self.n_s, self.n_i, self.n_r = n - n_i, n_i, 0
-
-    def infection_rate(self, beta: float) -> float:
-        return beta * self.k_avg * self.n_s * self.n_i / self.n
-
-    def infect_one(self, rng: np.random.Generator) -> None:
-        self.n_s -= 1
-        self.n_i += 1
-
-    def recover_one(self, rng: np.random.Generator) -> None:
-        self.n_i -= 1
-        self.n_r += 1
-
-    def wane_one(self, rng: np.random.Generator) -> None:
-        self.n_r -= 1
-        self.n_s += 1
-
-
 # (S, I, R) change per event code: infection, recovery, waning, repeated row.
 _CODE_CHANGES = np.array([[-1, 1, 0], [0, -1, 1], [1, 0, -1], [0, 0, 0]], dtype=np.int64)
+
+
+def _trajectory(times: np.ndarray, codes: bytearray, start: tuple, n: int, engine: str,
+                seed: int) -> Trajectory:
+    """Rows `start`, then one per event code. One column at a time: the peak
+    is the times and codes beside one int64 column and its changes."""
+    code = np.frombuffer(codes, dtype=np.uint8)
+    counts = []
+    for first, change in zip(start, _CODE_CHANGES.T):
+        col = np.empty(len(times), dtype=np.int64)
+        col[0] = first
+        np.cumsum(change[code], out=col[1:])
+        col[1:] += first
+        counts.append(col)
+    return Trajectory(times, *counts, n, engine, seed)
 
 
 class _SharedPrefix:
@@ -409,43 +401,29 @@ class _SharedPrefix:
         return self
 
 
-def _run_events(pop: CompartmentState | WellMixedPopulation, params: RateParams, t_max: float,
-                seed: int, pending: list, engine: str,
-                prefix: Optional[_SharedPrefix] = None) -> Trajectory:
-    """Direct-method Gillespie loop (Gillespie 1977) on one population.
+def _run_events(prefix: _SharedPrefix, pending: list) -> Trajectory:
+    """Direct-method Gillespie loop (Gillespie 1977) of the network run
+    `prefix.run`, with `pending` interventions sorted by trigger time. Its
+    arithmetic and draw order (waiting time, event class, target) are those
+    of the reference steps in `tests/reference.py`; `_ReplayedDraws` gives
+    the `random()` and `integers(h)` of `np.random.default_rng(seed)`,
+    interleaved on one stream of raw words.
 
-    The arithmetic and the draw order (waiting time, event class, target)
-    are those of the reference steps in `tests/reference.py`. `pending`
-    interventions, sorted by trigger time, need a network population.
-
-    Both populations draw the doubles `np.random.default_rng(seed)` would
-    give. A network population also picks targets with `integers(h)`, so
-    it draws through `_ReplayedDraws`, which interleaves both calls on one
-    stream of raw words. A well-mixed one draws no integers: its uniforms
-    come from `rng.random(8192)` blocks, cheaper per draw than a method.
-
-    A network run goes on along the intervention-free run of its record
-    `prefix`, and `pop` only gives the first row; its stream starts from
-    `seed` at the record's position (0 on a restart). Up to the first draw
-    whose t + tau crosses the first trigger, both runs draw alike. At that
-    draw every run forks the same way: the record pauses before it, and
-    this run goes on with the draws as they are, with a twin of the state
-    (its own labels, the record's caches) and copies of the times and
-    codes. Then it drops the record, so a record that no caller holds is
-    freed before the caches are rebuilt on the transformed graph, never
-    beside them. Later triggers rebuild the twin's caches in place.
+    The run goes on along the intervention-free run of its record `prefix`;
+    its stream starts from `seed` at the record's position (0 on a
+    restart). Up to the first draw whose t + tau crosses the first trigger,
+    both runs draw alike. At that draw every run forks the same way: the
+    record pauses before it, and this run goes on with the draws as they
+    are, with a twin of the state (its own labels, the record's caches) and
+    copies of the times and codes. Then it drops the record, so a record
+    that no caller holds is freed before the caches are rebuilt on the
+    transformed graph, never beside them. Later triggers rebuild the twin's
+    caches in place.
     """
-    if t_max <= 0:
-        raise ParameterError(f"t_max must be positive, got {t_max}")
-    start = (pop.n_s, pop.n_i, pop.n_r)
-    if prefix is None:  # well-mixed
-        rng = np.random.default_rng(seed)
-        draw = chain.from_iterable(iter(lambda: rng.random(8192).tolist(), None)).__next__
-        t, times, codes = 0.0, [0.0], bytearray()
-    else:
-        pop, t, times, codes = prefix.pop, prefix.t, prefix.times, prefix.codes
-        rng = _ReplayedDraws(np.random.default_rng(seed).bit_generator, *prefix.at)
-        draw = rng.random
+    _, init, params, t_max, seed = prefix.run
+    pop, t, times, codes = prefix.pop, prefix.t, prefix.times, prefix.codes
+    rng = _ReplayedDraws(np.random.default_rng(seed).bit_generator, *prefix.at)
+    draw = rng.random
     # One test per draw: t + tau >= stop when it crosses the next trigger or
     # passes t_max (x > t_max is x >= nextafter(t_max, inf) in doubles).
     after_t_max = math.nextafter(t_max, math.inf)
@@ -490,18 +468,9 @@ def _run_events(pop: CompartmentState | WellMixedPopulation, params: RateParams,
     if times[-1] != t:
         times.append(t)
         codes.append(3)
-    # One column at a time, after the list of floats is dropped (a shared
-    # prefix may still hold it): the peak is the list beside its array.
-    times = np.asarray(times, dtype=np.float64)
-    code = np.frombuffer(codes, dtype=np.uint8)
-    counts = []
-    for first, change in zip(start, _CODE_CHANGES.T):
-        col = np.empty(len(times), dtype=np.int64)
-        col[0] = first
-        np.cumsum(change[code], out=col[1:])
-        col[1:] += first
-        counts.append(col)
-    return Trajectory(times, *counts, pop.n, engine, seed)
+    times = np.asarray(times, dtype=np.float64)  # drops the list, unless a record holds it
+    return _trajectory(times, codes, (init.n_s, init.n_i, init.n_r), pop.n,
+                       "network-gillespie", seed)
 
 
 def gillespie_run(
@@ -529,11 +498,11 @@ def gillespie_run(
         raise StateError("initial state was built for a different graph")
     if init.n_s + init.n_i + init.n_r != g.node_count:
         raise StateError("compartment counts do not sum to the population")
+    if not t_max > 0:
+        raise ParameterError(f"t_max must be positive, got {t_max}")
     pending = sorted(interventions or [], key=lambda iv: iv.trigger_time)
-    return _run_events(init, params, t_max, seed, pending, "network-gillespie",
-                       (_SharedPrefix() if prefix is None else prefix).resume(
-                           (g, init, params, t_max, seed),
-                           pending[0].trigger_time if pending else math.inf))
+    return _run_events((_SharedPrefix() if prefix is None else prefix).resume(
+        (g, init, params, t_max, seed), pending[0].trigger_time if pending else math.inf), pending)
 
 
 def gillespie_well_mixed(
@@ -548,13 +517,59 @@ def gillespie_well_mixed(
 
     Infection propensity beta * k_avg * N_S * N_I / n, so the epidemic
     threshold matches the network criterion R0 = beta * <k> / gamma.
+
+    Draws, arithmetic and stop are those of `tests/reference.py`. Event j
+    of an `rng.random(8192)` block reads u[2j] for its wait, u[2j + 1] for
+    its class. The class draws alone drive the jump chain, so each block
+    runs it on plain counts first, then its clock in numpy with the same
+    operations (`math.log`, an in-order `cumsum` for `t += tau`), and is
+    cut where the loop stops; events past the cut change only counts.
     """
-    if n <= 0:
-        raise ParameterError(f"population must be positive, got {n}")
-    if k_avg < 0:
-        raise ParameterError(f"mean degree must be non-negative, got {k_avg}")
-    pop = WellMixedPopulation(n, k_avg, resolve_infected_count(n, initial_infected))
-    return _run_events(pop, params, t_max, seed, [], "well-mixed-gillespie")
+    if not 0 < n <= 2 ** 53:  # the chain's float counts are exact up to 2**53
+        raise ParameterError(f"population must be in 1..2**53, got {n}")
+    if not 0 <= k_avg < math.inf:
+        raise ParameterError(f"mean degree must be finite and non-negative, got {k_avg}")
+    if not t_max > 0:
+        raise ParameterError(f"t_max must be positive, got {t_max}")
+    n_i = resolve_infected_count(n, initial_infected)
+    start = n - n_i, n_i, 0
+    s, i, r, nf = float(n - n_i), float(n_i), 0.0, float(n)  # exact, and faster than ints
+    bk, gamma, alpha = params.beta * k_avg, params.gamma, params.alpha
+    rng, after_t_max = np.random.default_rng(seed), math.nextafter(t_max, math.inf)
+    t, times, codes = 0.0, array("d", [0.0]), bytearray()
+    while t < t_max:
+        u, rates = rng.random(8192), []
+        for x in u[1::2].tolist():
+            a_inf = bk * s * i / nf
+            a_rec = gamma * i
+            a_total = a_inf + a_rec + alpha * r
+            if a_total <= 0.0:
+                break
+            rates.append(a_total)
+            x *= a_total
+            if x < a_inf:
+                s -= 1.0
+                i += 1.0
+                codes.append(0)
+            elif x < a_inf + a_rec:
+                i -= 1.0
+                r += 1.0
+                codes.append(1)
+            else:
+                r -= 1.0
+                s += 1.0
+                codes.append(2)
+        waits = -np.fromiter(map(math.log, (1.0 - u[:2 * len(rates):2]).tolist()), float) / rates
+        waits[:1] += t
+        clock = np.cumsum(waits)
+        # Cut at the first time past t_max, or after one at exactly t_max.
+        cut = min(np.searchsorted(clock, t_max) + 1, np.searchsorted(clock, after_t_max))
+        times.frombytes(clock[:cut].tobytes())
+        del codes[len(times) - 1:]
+        if cut < 4096:  # cut short, or absorbed
+            break
+        t = clock[-1]
+    return _trajectory(np.frombuffer(times), codes, start, n, "well-mixed-gillespie", seed)
 
 
 def abm_run(

@@ -20,6 +20,7 @@ instead of simulating the prefix again. Outputs are the same either way.
 from __future__ import annotations
 
 import json
+import math
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
@@ -136,6 +137,8 @@ class SweepSpec:
             raise ParameterError("beta grid must be non-empty")
         if any(b < 0 for b in self.betas):
             raise ParameterError("beta values must be >= 0")
+        if not 0 < self.t_max < math.inf:  # every grid and window is built from it
+            raise ParameterError(f"t_max must be finite and positive, got {self.t_max}")
 
     def to_dict(self) -> dict:
         return {

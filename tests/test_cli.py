@@ -462,6 +462,7 @@ class TestBadConfigValues:
         (("init",), {"count": 3.9, "seed": 3}),
         (("t_max",), "5"),
         (("network",), {"ba": {"n": 1e20, "m": 3}}),  # offsets past any numpy array
+        (("network",), {"well_mixed": {"n": 1e17, "k_avg": 5}}),  # counts past 2**53
     ])
     def test_fails_at_parse_time(self, path, value):
         code, err = _simulate(_with(VALID_CONFIG, path, value))

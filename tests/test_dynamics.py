@@ -226,6 +226,15 @@ class TestGillespieRun:
         sirs.to_csv(b)
         assert a.getvalue() == b.getvalue()
 
+    @pytest.mark.parametrize("t_max", [math.nan, 0.0, -1.0])
+    def test_bad_t_max_rejected_before_the_record_is_touched(self, t_max):
+        g = generate_er(50, 0.2, seed=1)
+        prefix = _SharedPrefix()
+        with pytest.raises(ParameterError):
+            gillespie_run(g, RateParams(0.3, 1.0), init_state(g, 5, seed=2), t_max, 1,
+                          prefix=prefix)
+        assert prefix.run is None
+
     def test_sirs_reinfection_possible(self):
         g = generate_er(200, 0.1, seed=7)
         state = init_state(g, 10, seed=8)
@@ -412,6 +421,67 @@ class TestEngineMatchesReference:
         expected = _network_reference(g, params, init, 45.0, 1)
         assert len(expected) - 1 > 25_000
         assert _rows(gillespie_run(g, params, init, 45.0, 1)) == expected
+
+
+_default_rng = np.random.default_rng
+
+
+class _ZeroDraws:
+    """The `random` draws of `default_rng(seed)`, one at a time or in
+    blocks, except that the draws at the indices in `zeros` are 0.0."""
+
+    def __init__(self, seed, zeros):
+        self.rng, self.read, self.zeros = _default_rng(seed), 0, zeros
+
+    def random(self, size=None):
+        u = np.atleast_1d(self.rng.random(1 if size is None else size))
+        for k in self.zeros:
+            if self.read <= k < self.read + len(u):
+                u[k - self.read] = 0.0
+        self.read += len(u)
+        return float(u[0]) if size is None else u
+
+
+class TestWellMixedBlockEdges:
+    """The well-mixed engine runs its jump chain a block of 4096 events
+    (8192 draws) at a time and cuts the block on its clock; it stops where
+    the reference loop does. Event 4096 is the last of the first block."""
+
+    EVENTS = (1, 4095, 4096, 4097, 5000)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("n", [1, 10, 400, 2000])
+    def test_t_max_at_event_times(self, n, alpha, beta):
+        params, n_i = RateParams(beta, 1.0, alpha), max(1, n // 100)
+        for seed in range(4):
+            full = _well_mixed_reference(n, 8.0, params, n_i, 15.0, seed)
+            assert _rows(gillespie_well_mixed(n, 8.0, params, n_i, 15.0, seed)) == full
+            for k in (k for k in self.EVENTS if k < len(full)):
+                t_max = full[k][0]
+                expected = _well_mixed_reference(n, 8.0, params, n_i, t_max, seed)
+                assert expected == full[:k + 1]
+                assert _rows(gillespie_well_mixed(n, 8.0, params, n_i, t_max, seed)) == expected
+
+    def test_grid_covers_absorption_and_three_blocks(self):
+        sir = _well_mixed_reference(400, 8.0, RateParams(0.3, 1.0), 4, 15.0, 1)
+        assert sir[-1][2] == 0 and 1 < len(sir) - 1 < 4096  # absorbed mid-block
+        sirs = _well_mixed_reference(2000, 8.0, RateParams(0.3, 1.0, 0.5), 20, 15.0, 0)
+        assert len(sirs) - 1 > 3 * 4096
+
+    @pytest.mark.parametrize("event", [1, 4095, 4096, 5000])
+    def test_zero_wait_at_t_max(self, monkeypatch, event):
+        # The wait draw of the event after `event` is 0.0, so both events
+        # fall at exactly t_max; the run stops after the first, as the
+        # reference's `while t < t_max` does.
+        n, params = 2000, RateParams(0.3, 1.0, 0.5)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _ZeroDraws(seed, [2 * event]))
+        full = _well_mixed_reference(n, 8.0, params, 20, 15.0, 0)
+        assert full[event][0] == full[event + 1][0]
+        t_max = full[event][0]
+        expected = _well_mixed_reference(n, 8.0, params, 20, t_max, 0)
+        assert expected == full[:event + 1]
+        assert _rows(gillespie_well_mixed(n, 8.0, params, 20, t_max, 0)) == expected
 
 
 class TestInterventionsMatchReference:
@@ -646,19 +716,19 @@ class TestTrajectoryArrays:
             assert forked.times[-1] > t
 
     def test_traced_peak_per_event(self):
-        # The loop keeps a Python float per event (32 B with its list slot)
-        # and a one-byte code; the counts are then built one column at a
-        # time after the floats are freed. All four N x 3 arrays of a
-        # stacked cumsum alive at once would take over 100 B/event.
+        # The run the `sirs_endemic` benchmark times. Per event the engine
+        # keeps a float64 time and a one-byte code, then builds S, I and R
+        # one int64 column at a time: about 42 B/event at the peak. All four
+        # N x 3 arrays of a stacked cumsum alive at once would take over 100.
         tracemalloc.start()
         try:
-            traj = gillespie_well_mixed(10_000, 10.0, RateParams(0.3, 1.0, 0.2), 0.01, 40.0, 3)
+            traj = gillespie_well_mixed(10_000, 10.0, RateParams(0.3, 1.0, 0.2), 0.01, 100.0, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         events = len(traj) - 1
-        assert events >= 100_000
-        assert peak / events <= 56
+        assert events == 337_904
+        assert peak / events <= 45
 
     @pytest.mark.parametrize("block", [1, 7, 4096, None])
     def test_csv_blocks_join_to_one_string(self, monkeypatch, block):
@@ -698,10 +768,22 @@ class TestGillespieWellMixed:
         traj = gillespie_well_mixed(500, 8.0, RateParams(0.3, 1.0, 0.2), 0.02, 20.0, seed=3)
         assert np.all(traj.s + traj.i + traj.r == 500)
 
-    @pytest.mark.parametrize("n, k_avg", [(0, 10.0), (-3, 10.0), (1000, -5.0)])
+    @pytest.mark.parametrize("n, k_avg", [(0, 10.0), (-3, 10.0), (1000, -5.0), (2**53 + 1, 10.0)])
     def test_range_rejected(self, n, k_avg):
         with pytest.raises(ParameterError):
             gillespie_well_mixed(n, k_avg, RateParams(0.3, 1.0), 1, 5.0, seed=1)
+
+    @pytest.mark.parametrize("k_avg, t_max", [
+        (math.nan, 5.0), (math.inf, 5.0), (-math.inf, 5.0),
+        (10.0, math.nan), (10.0, 0.0), (10.0, -1.0),
+    ])
+    def test_bad_input_fails_before_any_draw(self, monkeypatch, k_avg, t_max):
+        def no_draws(seed):
+            raise AssertionError("the engine started to draw")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ParameterError):
+            gillespie_well_mixed(100, k_avg, RateParams(0.3, 1.0), 0.05, t_max, 1)
 
 
 class TestAbmRun:

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -52,6 +53,11 @@ class TestSweepSpec:
     def test_zero_replicates_rejected(self):
         with pytest.raises(ParameterError):
             SweepSpec(networks=[NetworkSource.er(10, 0.1)], betas=[0.1], replicates=0)
+
+    @pytest.mark.parametrize("t_max", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_t_max_rejected(self, t_max):
+        with pytest.raises(ParameterError):
+            SweepSpec(networks=[NetworkSource.er(10, 0.1)], betas=[0.1], t_max=t_max)
 
 
 class TestRunReplicates:

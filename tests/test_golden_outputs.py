@@ -4,7 +4,8 @@ Each output below is produced in-process through `netepi.cli.dispatch`, at
 small sizes, serially and with relative paths (manifests echo the paths
 they were given), and its SHA-256 is compared with the digest the same run
 gave when it was recorded. A digest changes only with a declared output
-version (see CHANGES.md).
+version (see CHANGES.md). One more digest pins an API run at the size the
+`sirs_endemic` benchmark times.
 """
 
 import hashlib
@@ -13,6 +14,7 @@ import json
 import pytest
 
 from netepi.cli import EXIT_OK, dispatch
+from netepi.dynamics import RateParams, gillespie_well_mixed
 
 GOLDEN = {
     "exp02/exp02_table.csv":
@@ -152,3 +154,17 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("rel", sorted(GOLDEN))
 def test_output_is_byte_identical(outputs, rel):
     assert hashlib.sha256(outputs[rel]).hexdigest() == GOLDEN[rel]
+
+
+# The raw bytes of times, S, I and R, in that order, of the well-mixed SIRS
+# run at n = 10**4, k_avg 10, beta 0.3, gamma 1, alpha 0.2, t_max 100, seed 1.
+WELL_MIXED_SIRS = "be01877a9f735e39e5cbabd17fc78ee9f9c79fb550eead9e39c7f05d26d49e49"
+
+
+def test_well_mixed_sirs_run_is_byte_identical():
+    traj = gillespie_well_mixed(10_000, 10.0, RateParams(0.3, 1.0, 0.2), 0.01, 100.0, 1)
+    digest = hashlib.sha256()
+    for column in (traj.times, traj.s, traj.i, traj.r):
+        digest.update(column.tobytes())
+    assert len(traj) == 337_905
+    assert digest.hexdigest() == WELL_MIXED_SIRS
