@@ -1,8 +1,9 @@
 """JSON run-configuration parsing and validation.
 
-Every value is checked against its type here, once. A value of the wrong type,
-a non-finite number or a block that is not an object is a ConfigError;
-a missing or null optional field takes its default.
+Every block is declared once, as a table of its fields, and read by one
+reader, `_read`, which checks every value against its type. A value of the
+wrong type, a non-finite number, an unknown key or a block that is not an
+object is a ConfigError; a missing or null optional field takes its default.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError, ParameterError
-from .experiments import NETWORK_FIELDS, OPTIONAL_NETWORK_FIELDS, NetworkSource, SweepSpec
+from .experiments import NETWORK_FIELDS, NetworkSource, SweepSpec
 from .interventions import InterventionSpec
+from .ode import DEFAULT_DT
 
 ENGINES = ("gillespie", "abm", "ode")
 
@@ -44,12 +46,24 @@ def _coerce(value, typ: type, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _field(block: dict, key: str, typ: type, path: str, default=_REQUIRED):
-    if block.get(key) is None:
-        if default is _REQUIRED:
+def _read(block, fields: dict, path: str) -> dict:
+    """Every field of `block` as `fields` declares it: each key maps to its
+    type, or to (type, default) if it is optional. A block that is not an
+    object, an unknown key or a missing required field is a ConfigError."""
+    _coerce(block, dict, path)
+    unknown = set(block) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown key(s) under {path}: {sorted(unknown)}")
+    values = {}
+    for key, spec in fields.items():
+        typ, default = spec if isinstance(spec, tuple) else (spec, _REQUIRED)
+        if block.get(key) is not None:
+            values[key] = _coerce(block[key], typ, f"{path}.{key}")
+        elif default is _REQUIRED:
             raise ConfigError(f"missing required field {path}.{key}")
-        return default
-    return _coerce(block[key], typ, f"{path}.{key}")
+        else:
+            values[key] = default
+    return values
 
 
 def _positive(value: float, where: str) -> float:
@@ -58,35 +72,20 @@ def _positive(value: float, where: str) -> float:
     return value
 
 
-def _check_keys(block, allowed: set, path: str) -> dict:
-    _coerce(block, dict, path)
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) under {path}: {sorted(unknown)}")
-    return block
-
-
-def _load(text: str, path: str, allowed: set) -> dict:
+def _load(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
-    return _check_keys(doc, allowed, path)
 
 
 def parse_network_block(block: dict, path: str = "network") -> NetworkSource:
     """One of er/ws/ba/edge_list/well_mixed; exactly one source allowed."""
-    _check_keys(block, set(NETWORK_FIELDS), path)
+    _read(block, dict.fromkeys(NETWORK_FIELDS, (dict, None)), path)
     if len(block) != 1:
         raise ConfigError(f"{path} must name exactly one source, got {sorted(block) or 'none'}")
     ((kind, inner),) = block.items()
-    fields = NETWORK_FIELDS[kind]
-    _check_keys(inner, set(fields), f"{path}.{kind}")
-    values = {
-        name: _field(inner, name, typ, f"{path}.{kind}")
-        for name, typ in fields.items()
-        if inner.get(name) is not None or name not in OPTIONAL_NETWORK_FIELDS
-    }
+    values = _read(inner, NETWORK_FIELDS[kind], f"{path}.{kind}")
     if kind == "well_mixed":  # the other sources check their ranges as they build
         if values["n"] < 1:
             raise ConfigError(f"{path}.well_mixed.n must be at least 1, got {values['n']}")
@@ -98,15 +97,11 @@ def parse_network_block(block: dict, path: str = "network") -> NetworkSource:
 
 def parse_intervention_block(block: dict, path: str = "intervention") -> InterventionSpec:
     """One scheduled measure: `t` and `action`, with `cap` or `target` and a `seed`."""
-    _check_keys(block, {"t", "action", "cap", "target", "seed"}, path)
+    # In the order of InterventionSpec's fields; `t` is its trigger_time.
+    values = _read(block, {"t": float, "action": str, "cap": (int, None),
+                           "target": (float, None), "seed": (int, 0)}, path)
     try:
-        return InterventionSpec(
-            trigger_time=_field(block, "t", float, path),
-            action=_field(block, "action", str, path),
-            cap=_field(block, "cap", int, path, None),
-            target=_field(block, "target", float, path, None),
-            seed=_field(block, "seed", int, path, 0),
-        )
+        return InterventionSpec(*values.values())
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -122,11 +117,11 @@ class RunConfig:
     initial_infected: int | float
     seed: int
     t_max: float
-    engine: str = "gillespie"
-    dt: float = 0.01
-    interventions: tuple[InterventionSpec, ...] = ()
-    trajectory_path: Optional[str] = None
-    summary_path: Optional[str] = None
+    engine: str
+    dt: float
+    interventions: tuple[InterventionSpec, ...]
+    trajectory_path: Optional[str]
+    summary_path: Optional[str]
 
     def to_dict(self) -> dict:
         init: dict = {"seed": self.seed}
@@ -154,83 +149,56 @@ class RunConfig:
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a single-run JSON config; defaults are resolved."""
-    doc = _load(
-        text, "config",
-        {"network", "rates", "init", "t_max", "engine", "dt", "interventions", "output"},
-    )
-    network = parse_network_block(_field(doc, "network", dict, "config"))
-
-    rates = _check_keys(_field(doc, "rates", dict, "config"), {"beta", "gamma", "alpha"}, "rates")
-    init = _check_keys(_field(doc, "init", dict, "config"), {"fraction", "count", "seed"}, "init")
-    if ("fraction" in init) == ("count" in init):
+    doc = _read(_load(text), {
+        "network": dict, "rates": dict, "init": dict, "t_max": float,
+        "engine": (str, "gillespie"), "dt": (float, DEFAULT_DT),
+        "interventions": (list, []), "output": (dict, {}),
+    }, "config")
+    network = parse_network_block(doc["network"])
+    rates = _read(doc["rates"], {"beta": float, "gamma": float, "alpha": (float, 0.0)}, "rates")
+    init = doc["init"]  # an object: checked with the top level
+    if (init.get("fraction") is None) == (init.get("count") is None):
         raise ConfigError("init must give exactly one of 'fraction' or 'count'")
-    initial: int | float = (
-        _field(init, "fraction", float, "init") if "fraction" in init
-        else _field(init, "count", int, "init")
-    )
-    seed = _field(init, "seed", int, "init")
-    if seed < 0:
-        raise ConfigError(f"init.seed must be >= 0, got {seed}")
+    init = _read(init, {"fraction": (float, None), "count": (int, None), "seed": int}, "init")
+    if init["seed"] < 0:
+        raise ConfigError(f"init.seed must be >= 0, got {init['seed']}")
 
-    engine = _field(doc, "engine", str, "config", "gillespie")
+    engine = doc["engine"]
     if engine not in ENGINES:
         raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
     if engine in ("abm", "ode") and network.kind != "well_mixed":
         raise ConfigError(f"engine {engine!r} requires a well_mixed network block")
 
-    interventions = tuple(
-        parse_intervention_block(d, f"interventions[{i}]")
-        for i, d in enumerate(_field(doc, "interventions", list, "config", []))
-    )
+    interventions = tuple(parse_intervention_block(d, f"interventions[{i}]")
+                          for i, d in enumerate(doc["interventions"]))
     if interventions and engine != "gillespie":
         raise ConfigError("interventions are only supported by the gillespie engine")
 
-    output = _check_keys(_field(doc, "output", dict, "config", {}), {"trajectory", "summary"}, "output")
-
-    cfg = RunConfig(
-        network=network,
-        beta=_field(rates, "beta", float, "rates"),
-        gamma=_field(rates, "gamma", float, "rates"),
-        alpha=_field(rates, "alpha", float, "rates", 0.0),
-        initial_infected=initial,
-        seed=seed,
-        t_max=_positive(_field(doc, "t_max", float, "config"), "t_max"),
-        engine=engine,
-        dt=_positive(_field(doc, "dt", float, "config", 0.01), "dt"),
-        interventions=interventions,
-        trajectory_path=_field(output, "trajectory", str, "output", None),
-        summary_path=_field(output, "summary", str, "output", None),
-    )
-    if engine == "abm" and cfg.gamma > 1.0:  # the ABM's per-step recovery probability
-        raise ConfigError(f"rates.gamma must be at most 1 under the abm engine, got {cfg.gamma}")
-    return cfg
+    output = _read(doc["output"], {"trajectory": (str, None), "summary": (str, None)}, "output")
+    t_max, dt = _positive(doc["t_max"], "t_max"), _positive(doc["dt"], "dt")
+    if engine == "abm" and rates["gamma"] > 1.0:  # the ABM's per-step recovery probability
+        raise ConfigError(
+            f"rates.gamma must be at most 1 under the abm engine, got {rates['gamma']}")
+    initial = init["count"] if init["fraction"] is None else init["fraction"]
+    return RunConfig(network=network, **rates, initial_infected=initial, seed=init["seed"],
+                     t_max=t_max, engine=engine, dt=dt, interventions=interventions,
+                     trajectory_path=output["trajectory"], summary_path=output["summary"])
 
 
 def parse_sweep_config(text: str) -> SweepSpec:
     """Parse a sweep-spec JSON document into a SweepSpec.
 
-    Only the keys the document gives are passed on, so SweepSpec's own
-    defaults apply to the rest.
+    Each scalar field takes its default's type and default; measure_from
+    (default None) is a time.
     """
-    fields = dataclasses.fields(SweepSpec)
-    doc = _load(text, "sweep", {f.name for f in fields})
-    spec: dict = {
-        "networks": [
-            parse_network_block(b, f"networks[{i}]")
-            for i, b in enumerate(_field(doc, "networks", list, "sweep"))
-        ],
-        "betas": [
-            _coerce(b, float, f"sweep.betas[{i}]")
-            for i, b in enumerate(_field(doc, "betas", list, "sweep"))
-        ],
-    }
-    if doc.get("intervention") is not None:
-        spec["intervention"] = parse_intervention_block(doc["intervention"], "sweep.intervention")
-    for f in fields:
-        if f.name not in spec and doc.get(f.name) is not None:
-            # Scalars take their default's type; measure_from (default None) is a time.
-            typ = float if f.default is None else type(f.default)
-            spec[f.name] = _field(doc, f.name, typ, "sweep")
-    if "t_max" in spec:
-        _positive(spec["t_max"], "sweep.t_max")
+    fields = {f.name: (float if f.default is None else type(f.default), f.default)
+              for f in dataclasses.fields(SweepSpec)}
+    fields.update(networks=list, betas=list, intervention=(dict, None))
+    spec = _read(_load(text), fields, "sweep")
+    spec["networks"] = [parse_network_block(b, f"networks[{i}]")
+                        for i, b in enumerate(spec["networks"])]
+    spec["betas"] = [_coerce(b, float, f"sweep.betas[{i}]") for i, b in enumerate(spec["betas"])]
+    if spec["intervention"] is not None:
+        spec["intervention"] = parse_intervention_block(spec["intervention"], "sweep.intervention")
+    _positive(spec["t_max"], "sweep.t_max")
     return SweepSpec(**spec)

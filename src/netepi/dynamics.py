@@ -370,8 +370,8 @@ def _trajectory(times: np.ndarray, codes: bytearray, start: tuple, n: int, engin
 class _SharedPrefix:
     """The run record of every network run: the intervention-free run of
     one (graph, initial state, rates, t_max, seed). A caller keeps one
-    across the `gillespie_run` calls of points that differ only in their
-    interventions; any other run gets a fresh one of its own.
+    across the `gillespie_run` calls of its points, which restart it when
+    their run differs; a call given none gets a fresh one of its own.
 
     It holds data only: the state, times and codes at time t, where the
     last call that ran on it paused it, and `at`, the stream position

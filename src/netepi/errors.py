@@ -25,7 +25,7 @@ class EdgeListFormatError(NetEpiError, ValueError):
 class PowerLawFitError(NetEpiError, ValueError):
     """Not enough tail data to fit a power-law exponent."""
 
-    def __init__(self, tail_size: int, needed: int = 10):
+    def __init__(self, tail_size: int, needed: int):
         self.tail_size = tail_size
         super().__init__(
             f"power-law fit needs at least {needed} tail nodes, got {tail_size}"

@@ -12,9 +12,10 @@ NETEPI_WORKERS > 1 to run a batch in a process pool.
 Points of a replicate with the same rates and some intervention (exp03's
 trigger times) also share the run itself up to their first trigger: until
 then each would draw exactly what the intervention-free run draws. So the
-replicate keeps that run, paused, in a `dynamics._SharedPrefix` per rate
-set, and each point's `gillespie_run` call forks off it at its trigger
-instead of simulating the prefix again. Outputs are the same either way.
+replicate keeps that run, paused, in one `dynamics._SharedPrefix`, and
+each point's `gillespie_run` call forks off it at its trigger instead of
+simulating the prefix again; a point with other rates restarts the record.
+Outputs are the same either way.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import IO, Optional, Sequence
 
 import numpy as np
@@ -46,15 +47,15 @@ WORKERS_ENV = "NETEPI_WORKERS"
 
 
 # Fields of each network-source kind, with their types, in the argument
-# order of both the NetworkSource.<kind> constructor and graphs.generate_<kind>.
-NETWORK_FIELDS: dict[str, dict[str, type]] = {
+# order of both the NetworkSource.<kind> constructor and graphs.generate_<kind>;
+# an optional field is (type, default).
+NETWORK_FIELDS: dict[str, dict[str, type | tuple]] = {
     "er": {"n": int, "p": float},
     "ws": {"n": int, "k": int, "p_rewire": float},
     "ba": {"n": int, "m": int},
-    "edge_list": {"path": str, "compact_ids": bool},
+    "edge_list": {"path": str, "compact_ids": (bool, False)},
     "well_mixed": {"n": int, "k_avg": float},
 }
-OPTIONAL_NETWORK_FIELDS = {"compact_ids"}  # the constructor supplies the default
 
 
 @dataclass(frozen=True)
@@ -141,18 +142,10 @@ class SweepSpec:
             raise ParameterError(f"t_max must be finite and positive, got {self.t_max}")
 
     def to_dict(self) -> dict:
-        return {
-            "networks": [src.to_dict() for src in self.networks],
-            "betas": list(self.betas),
-            "gamma": self.gamma,
-            "alpha": self.alpha,
-            "initial_fraction": self.initial_fraction,
-            "t_max": self.t_max,
-            "replicates": self.replicates,
-            "base_seed": self.base_seed,
-            "intervention": self.intervention.to_dict() if self.intervention else None,
-            "measure_from": self.measure_from,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(networks=[src.to_dict() for src in self.networks], betas=list(self.betas),
+                   intervention=self.intervention.to_dict() if self.intervention else None)
+        return out
 
 
 @dataclass
@@ -221,7 +214,7 @@ def _one_replicate(args: dict) -> list[dict]:
     if source.kind != "well_mixed":
         g = args["graph"] or source.build_graph(graph_seed)
         state = init_state(g, fraction, init_seed)
-    prefixes: dict[RateParams, _SharedPrefix] = {}
+    prefix = _SharedPrefix()
     out = []
     for point in args["points"]:
         if source.kind == "well_mixed":
@@ -229,9 +222,8 @@ def _one_replicate(args: dict) -> list[dict]:
                                         t_max, run_seed)
         else:
             params, interventions = point["params"], point["interventions"]
-            prefix = prefixes.setdefault(params, _SharedPrefix()) if interventions else None
-            traj = gillespie_run(g, params, state, t_max, run_seed,
-                                 interventions=interventions, prefix=prefix)
+            traj = gillespie_run(g, params, state, t_max, run_seed, interventions=interventions,
+                                 prefix=prefix if interventions else None)
         out.append(_observe(traj, point))
     return out
 

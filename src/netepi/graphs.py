@@ -29,6 +29,7 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 MIN_TAIL_SIZE = 10  # smallest tail sample the power-law fit accepts
+_MAX_NODES = math.isqrt(2**63 - 1)  # the most nodes whose edge keys u * n + v fit in int64
 
 
 class Graph:
@@ -99,7 +100,7 @@ class Graph:
         """
         if n < 0:
             raise ParameterError("node count must be >= 0")
-        _check_array(n + 1, f"the offsets of {n} nodes")
+        _check_nodes(n)
         try:
             pairs = np.asarray(edges if isinstance(edges, np.ndarray)
                                else list(edges) or np.empty((0, 2), dtype=np.int64))
@@ -137,6 +138,15 @@ def _check_array(count: int, what: str) -> None:
         raise ParameterError(f"{what} ({count} int64 values) do not fit in one array")
 
 
+def _check_nodes(n: int) -> None:
+    """Bounds on n checked before a graph of n nodes allocates anything: its
+    offsets fit in one array, and `from_edges`' edge keys u * n + v in int64."""
+    _check_array(n + 1, f"the offsets of {n} nodes")
+    if n > _MAX_NODES:
+        raise ParameterError(
+            f"{n} nodes exceed {_MAX_NODES}, the most whose edge keys u * n + v fit in int64")
+
+
 @dataclass(frozen=True)
 class DegreeStats:
     """Degree-based summary of a graph."""
@@ -152,7 +162,7 @@ def generate_er(n: int, p: float, seed: int) -> Graph:
         raise ParameterError(f"edge probability must be in [0, 1], got {p}")
     if n < 0:
         raise ParameterError("node count must be >= 0")
-    _check_array(n + 1, f"the offsets of {n} nodes")
+    _check_nodes(n)
     rng = np.random.default_rng(seed)
     if n < 2 or p == 0.0:
         return Graph.from_edges(n, [])
@@ -189,7 +199,7 @@ def generate_ws(n: int, k: int, p_rewire: float, seed: int) -> Graph:
         raise ParameterError(f"need 0 < k < n, got k={k}, n={n}")
     if not 0.0 <= p_rewire <= 1.0:
         raise ParameterError(f"rewiring probability must be in [0, 1], got {p_rewire}")
-    _check_array(n + 1, f"the offsets of {n} nodes")
+    _check_nodes(n)
     rng = np.random.default_rng(seed)
     adj = [{(u + j) % n for j in range(-(k // 2), k // 2 + 1) if j} for u in range(n)]
     for u in range(n):
@@ -227,8 +237,8 @@ def generate_ba(n: int, m: int, seed: int) -> Graph:
     """
     if not 1 <= m < n:
         raise ParameterError(f"need 1 <= m < n, got m={m}, n={n}")
-    _check_array(n + 1, f"the offsets of {n} nodes")
     _check_array((n - m) * 2 * m, f"the endpoints of BA({n}, {m})")
+    _check_nodes(n)
     raw = np.random.default_rng(seed).bit_generator.random_raw
     words = np.empty(0, np.uint32)
 
@@ -503,7 +513,7 @@ def fit_power_law_degrees(degrees: np.ndarray, k_min: Optional[int] = None) -> f
             raise ParameterError(f"k_min must be >= 1, got {k_min}")
         tail = np.sort(degs[degs >= k_min])
         if tail.size < MIN_TAIL_SIZE:
-            raise PowerLawFitError(tail.size)
+            raise PowerLawFitError(tail.size, MIN_TAIL_SIZE)
         return _power_law_mle(tail, k_min)
     best: Optional[tuple[float, float]] = None
     for candidate in np.flatnonzero(np.bincount(degs)):  # np.unique imports numpy.ma
@@ -517,7 +527,7 @@ def fit_power_law_degrees(degrees: np.ndarray, k_min: Optional[int] = None) -> f
         if best is None or dist < best[0]:
             best = (dist, exponent)
     if best is None:
-        raise PowerLawFitError(int(np.sum(degs >= 1)))
+        raise PowerLawFitError(int(np.sum(degs >= 1)), MIN_TAIL_SIZE)
     return best[1]
 
 

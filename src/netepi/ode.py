@@ -57,7 +57,7 @@ class OdeSolution:
         stream.write("t,S,I,R\n" + "".join(f"{t!r},{s!r},{i!r},{r!r}\n" for t, (s, i, r) in rows))
 
 
-def _integrate(rhs, init: FractionState, params: RateParams, t_max: float, dt: float) -> OdeSolution:
+def _integrate(init: FractionState, params: RateParams, t_max: float, dt: float) -> OdeSolution:
     if dt <= 0:
         raise ParameterError(f"dt must be positive, got {dt}")
     if t_max <= 0:
@@ -73,10 +73,10 @@ def _integrate(rhs, init: FractionState, params: RateParams, t_max: float, dt: f
     rows = [y]
     for _ in range(steps):
         s, i, r = y
-        a1, b1, c1 = rhs(y, params)
-        a2, b2, c2 = rhs((s + h * a1, i + h * b1, r + h * c1), params)
-        a3, b3, c3 = rhs((s + h * a2, i + h * b2, r + h * c2), params)
-        a4, b4, c4 = rhs((s + dt * a3, i + dt * b3, r + dt * c3), params)
+        a1, b1, c1 = _sirs_rhs(y, params)
+        a2, b2, c2 = _sirs_rhs((s + h * a1, i + h * b1, r + h * c1), params)
+        a3, b3, c3 = _sirs_rhs((s + h * a2, i + h * b2, r + h * c2), params)
+        a4, b4, c4 = _sirs_rhs((s + dt * a3, i + dt * b3, r + dt * c3), params)
         y = (s + c * (((a1 + 2.0 * a2) + 2.0 * a3) + a4),
              i + c * (((b1 + 2.0 * b2) + 2.0 * b3) + b4),
              r + c * (((c1 + 2.0 * c2) + 2.0 * c3) + c4))
@@ -95,12 +95,12 @@ def _sirs_rhs(y, p: RateParams) -> tuple:
 def ode_sir(params: RateParams, init: FractionState, t_max: float, dt: float = DEFAULT_DT) -> OdeSolution:
     """Integrate ds/dt = -beta*s*i, di/dt = beta*s*i - gamma*i, dr/dt = gamma*i."""
     sir_params = RateParams(params.beta, params.gamma, 0.0)
-    return _integrate(_sirs_rhs, init, sir_params, t_max, dt)
+    return _integrate(init, sir_params, t_max, dt)
 
 
 def ode_sirs(params: RateParams, init: FractionState, t_max: float, dt: float = DEFAULT_DT) -> OdeSolution:
     """SIR plus waning immunity: recovered return to susceptible at rate alpha."""
-    return _integrate(_sirs_rhs, init, params, t_max, dt)
+    return _integrate(init, params, t_max, dt)
 
 
 def r0(params: RateParams, k_avg: Optional[float] = None) -> float:

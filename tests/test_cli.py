@@ -201,14 +201,39 @@ class TestMetrics:
 
     @pytest.mark.parametrize("command", ["metrics", "generate"])
     def test_allocation_beyond_any_address_space(self, tmp_path, capsys, command):
-        # 10**16 nodes need a 71 PiB index array: the allocation fails at once.
+        # 10**16 nodes would need a 71 PiB index array, and their edge keys
+        # u * n + v overflow int64: bad input, rejected before any allocation.
         path = tmp_path / "huge.txt"
         path.write_text("0 10000000000000000\n")
         argv = ([str(path)] if command == "metrics"
                 else ["--model", "er", "--n", "10000000000000000", "--p", "0"])
-        assert run_cli(command, *argv) == EXIT_RUNTIME
+        assert run_cli(command, *argv) == EXIT_INPUT
         err = capsys.readouterr().err
-        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert err.startswith("error: 10000000000000001 nodes exceed" if command == "metrics"
+                              else "error: 10000000000000000 nodes exceed")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "er", "--n", "100000000000000000", "--p", "0.5"],
+        ["--model", "ws", "--n", "100000000000000000", "--k", "4", "--p-rewire", "0.1"],
+    ], ids=["er", "ws"])
+    def test_node_count_past_int64_edge_keys(self, tmp_path, capsys, argv):
+        # Without the bound, er and ws would build Python lists until memory ran out.
+        out = tmp_path / "g.txt"
+        assert run_cli("generate", *argv, "--out", str(out)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "nodes exceed 3037000499" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_memory_error_is_a_runtime_fault(self, tmp_path, capsys, monkeypatch):
+        def generate_er(n, p, seed):
+            raise MemoryError("Unable to allocate 71.1 PiB")
+        monkeypatch.setattr(graphs, "generate_er", generate_er)
+        out = tmp_path / "g.txt"
+        assert run_cli("generate", "--model", "er", "--n", "10", "--p", "0",
+                       "--out", str(out)) == EXIT_RUNTIME
+        assert capsys.readouterr().err == "error: Unable to allocate 71.1 PiB\n"
+        assert not out.exists()
 
     def test_generate_then_metrics_keeps_isolated_nodes(self, tmp_path, capsys):
         # ER(50, 0.02, seed 1) leaves its last node isolated.

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
 from netepi.config import parse_config, parse_network_block, parse_sweep_config
 from netepi.errors import ConfigError
-from netepi.experiments import NetworkSource
+from netepi.experiments import NetworkSource, SweepSpec
+from netepi.interventions import InterventionSpec
 
 MINIMAL = {
     "network": {"er": {"n": 100, "p": 0.1}},
@@ -176,3 +178,124 @@ class TestParseSweepConfig:
                 "betas": [0.1],
                 "bogus": True,
             }))
+
+
+FULL = {  # every block of a run config, every optional field given
+    "network": {"er": {"n": 100, "p": 0.1}},
+    "rates": {"beta": 0.2, "gamma": 1.0, "alpha": 0.1},
+    "init": {"fraction": 0.01, "seed": 42},
+    "t_max": 10.0,
+    "engine": "gillespie",
+    "dt": 0.05,
+    "interventions": [{"t": 1.0, "action": "degree_cap", "cap": 3, "seed": 2}],
+    "output": {"trajectory": "a.csv", "summary": "b.json"},
+}
+SWEEP = {
+    "networks": [{"ba": {"n": 100, "m": 3}}, {"edge_list": {"path": "g.txt", "compact_ids": True}}],
+    "betas": [0.1, 0.2],
+    "gamma": 0.5,
+    "alpha": 0.1,
+    "initial_fraction": 0.05,
+    "t_max": 12.0,
+    "replicates": 3,
+    "base_seed": 7,
+    "intervention": {"t": 0.5, "action": "thin", "target": 0.01, "seed": 1},
+    "measure_from": 2.0,
+}
+
+
+def edited(doc: dict, keys: tuple, key: str, value=None, delete: bool = False) -> str:
+    """`doc` as JSON with the block at `keys` given `key: value`, or without `key`."""
+    doc = json.loads(json.dumps(doc))
+    block = doc
+    for k in keys:
+        block = block[k]
+    if delete:
+        del block[key]
+    else:
+        block[key] = value
+    return json.dumps(doc)
+
+
+class TestOneReader:
+    """Every block is read by one reader: the same rules, the same messages."""
+
+    def test_sweep_spec_with_every_field_round_trips(self):
+        spec = SweepSpec(
+            networks=[NetworkSource.er(30, 0.2), NetworkSource.ws(30, 4, 0.1),
+                      NetworkSource.ba(30, 2), NetworkSource.edge_list("g.txt", compact_ids=True),
+                      NetworkSource.well_mixed(30, 5.0)],
+            betas=[0.0, 0.25], gamma=0.5, alpha=0.1, initial_fraction=0.05, t_max=12.5,
+            replicates=3, base_seed=7, measure_from=4.0,
+            intervention=InterventionSpec(2.0, "degree_cap", cap=3, seed=4),
+        )
+        for f in dataclasses.fields(SweepSpec):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(spec, f.name) != f.default, f.name
+        doc = spec.to_dict()
+        assert list(doc) == [f.name for f in dataclasses.fields(SweepSpec)]
+        assert parse_sweep_config(json.dumps(doc)) == spec
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"init": {"count": 3, "seed": 0}, "interventions": [], "output": {"summary": "s.json"}},
+        {"engine": "abm", "network": {"well_mixed": {"n": 50, "k_avg": 4.0}},
+         "interventions": [], "rates": {"beta": 0.3, "gamma": 0.5}},
+        {"engine": "ode", "network": {"well_mixed": {"n": 50, "k_avg": 4.0}},
+         "interventions": [], "output": {}},
+    ], ids=["gillespie", "gillespie-count", "abm", "ode"])
+    def test_run_config_round_trips(self, overrides):
+        cfg = parse_config(json.dumps({**FULL, **overrides}))
+        assert parse_config(cfg.to_json()) == cfg
+
+    @pytest.mark.parametrize("parse, doc, keys, path", [
+        (parse_config, FULL, (), "config"),
+        (parse_config, FULL, ("network",), "network"),
+        (parse_config, FULL, ("network", "er"), "network.er"),
+        (parse_config, FULL, ("rates",), "rates"),
+        (parse_config, FULL, ("init",), "init"),
+        (parse_config, FULL, ("interventions", 0), "interventions[0]"),
+        (parse_config, FULL, ("output",), "output"),
+        (parse_sweep_config, SWEEP, (), "sweep"),
+        (parse_sweep_config, SWEEP, ("networks", 1), "networks[1]"),
+        (parse_sweep_config, SWEEP, ("networks", 1, "edge_list"), "networks[1].edge_list"),
+        (parse_sweep_config, SWEEP, ("intervention",), "sweep.intervention"),
+    ])
+    def test_unknown_key_named_with_its_path(self, parse, doc, keys, path):
+        with pytest.raises(ConfigError) as err:
+            parse(edited(doc, keys, "bogus", 1))
+        assert str(err.value) == f"unknown key(s) under {path}: ['bogus']"
+
+    @pytest.mark.parametrize("parse, doc, keys, key", [
+        (parse_config, FULL, (), "engine"),
+        (parse_config, FULL, (), "dt"),
+        (parse_config, FULL, (), "interventions"),
+        (parse_config, FULL, (), "output"),
+        (parse_config, FULL, ("rates",), "alpha"),
+        (parse_config, FULL, ("output",), "trajectory"),
+        (parse_config, FULL, ("output",), "summary"),
+        (parse_config, FULL, ("interventions", 0), "seed"),
+        (parse_sweep_config, SWEEP, ("networks", 1, "edge_list"), "compact_ids"),
+        (parse_sweep_config, SWEEP, ("intervention",), "seed"),
+    ] + [(parse_sweep_config, SWEEP, (), key) for key in SWEEP if key not in ("networks", "betas")])
+    def test_null_optional_field_takes_its_default(self, parse, doc, keys, key):
+        assert parse(edited(doc, keys, key, None)) == parse(edited(doc, keys, key, delete=True))
+
+    @pytest.mark.parametrize("init, initial", [
+        ({"fraction": 0.01, "count": None, "seed": 1}, 0.01),
+        ({"fraction": None, "count": 5, "seed": 1}, 5),
+    ])
+    def test_null_init_field_counts_as_absent(self, init, initial):
+        assert parse_config(minimal(init=init)).initial_infected == initial
+
+    @pytest.mark.parametrize("init, message", [
+        ({"fraction": None, "seed": 1}, "init must give exactly one of 'fraction' or 'count'"),
+        ({"count": None, "seed": 1}, "init must give exactly one of 'fraction' or 'count'"),
+        ({"fraction": None, "count": None, "seed": 1},
+         "init must give exactly one of 'fraction' or 'count'"),
+        ({}, "init must give exactly one of 'fraction' or 'count'"),
+    ])
+    def test_init_without_a_count_or_fraction(self, init, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal(init=init))
+        assert str(err.value) == message

@@ -628,13 +628,12 @@ class TestSharedPrefix:
 
     @staticmethod
     def assert_fresh_equal(g, init, t_max, seed, points):
-        # One prefix per rate set, handed to the points in call order, as
+        # One prefix for all points, handed to them in call order, as
         # `experiments._one_replicate` does.
-        prefixes = {}
+        prefix = _SharedPrefix()
         runs = []
         for params, interventions in points:
-            shared = gillespie_run(g, params, init, t_max, seed, interventions,
-                                   prefix=prefixes.setdefault(params, _SharedPrefix()))
+            shared = gillespie_run(g, params, init, t_max, seed, interventions, prefix=prefix)
             fresh = gillespie_run(g, params, init, t_max, seed, interventions)
             for name in ("times", "s", "i", "r"):
                 assert np.array_equal(getattr(shared, name), getattr(fresh, name)), name
@@ -646,8 +645,10 @@ class TestSharedPrefix:
         init = init_state(g, 0.02, seed=4)
         rates = [RateParams(0.4, 1.0, 0.5), RateParams(0.6, 1.0, 0.3)]
         triggers = [1.0, 0.5, 2.0, 2.0, 0.5, 6.0, 1.5]
-        points = [(rates[k % 2], [InterventionSpec(t, "thin", target=0.003, seed=1)])
-                  for k, t in enumerate(triggers * 2)]
+        # Each rate set's triggers in a row: the record resumes or restarts
+        # within a rate set, and restarts between them.
+        points = [(params, [InterventionSpec(t, "thin", target=0.003, seed=1)])
+                  for params in rates for t in triggers]
         runs = self.assert_fresh_equal(g, init, 8.0, 5, points)
         assert all(np.any(np.diff(run.r) < 0) for run in runs)  # waning happened
 

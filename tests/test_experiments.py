@@ -222,6 +222,29 @@ class TestReplicateMajor:
         assert len(builds) == 2
         assert len(caps) == 2
 
+    def test_one_run_record_per_replicate(self, monkeypatch):
+        # A sweep with an intervention visits each beta once: every point of
+        # a replicate task runs on that task's one record, which restarts at
+        # each new beta, and equals a fresh run.
+        monkeypatch.delenv("NETEPI_WORKERS", raising=False)
+        real, records = experiments.gillespie_run, []
+
+        def spy(*args, prefix=None, **kwargs):
+            records.append(prefix)
+            traj, fresh = real(*args, prefix=prefix, **kwargs), real(*args, **kwargs)
+            for name in ("times", "s", "i", "r"):
+                assert np.array_equal(getattr(traj, name), getattr(fresh, name)), name
+            return traj
+
+        monkeypatch.setattr(experiments, "gillespie_run", spy)
+        spec = SweepSpec(networks=[NetworkSource.er(300, 0.03), NetworkSource.ba(300, 3)],
+                         betas=[0.2, 0.4, 0.8], replicates=2, base_seed=4, t_max=6.0,
+                         intervention=interventions.InterventionSpec(1.0, "thin", target=0.01))
+        experiment_scope_sweep(spec)
+        assert len(records) == 12 and None not in records
+        assert all(records[i] is records[i - i % 3] for i in range(12))
+        assert len({id(record) for record in records}) == 4  # one per (network, replicate)
+
     def test_every_trigger_checked_before_any_run(self, monkeypatch):
         builds = self._count_calls(monkeypatch, graphs, "generate_ba")
         with pytest.raises(ParameterError):

@@ -122,6 +122,17 @@ class TestFromEdges:
         with pytest.raises(ParameterError, match=f"the offsets of {n} nodes"):
             Graph.from_edges(n, [(0, 1)])
 
+    def test_node_count_past_int64_edge_keys(self):
+        # The reverse key (n - 1) * n + (n - 2) of the largest n still fits in
+        # int64; one more node overflows it. Checked before any allocation.
+        top = graphs._MAX_NODES
+        assert (top - 1) * top + (top - 2) <= 2**63 - 1 < top * (top + 1) + (top - 1)
+        graphs._check_nodes(top)
+        for build in (lambda n: Graph.from_edges(n, [(0, 1)]), lambda n: generate_er(n, 0.5, 1),
+                      lambda n: generate_ws(n, 4, 0.1, 1), lambda n: generate_ba(n, 2, 1)):
+            with pytest.raises(ParameterError, match=f"{top + 1} nodes exceed {top}"):
+                build(top + 1)
+
     def test_neighbour_ids_are_shared_objects(self):
         # Ids above 256 are not interned by Python; one object each keeps memory down.
         g = generate_ba(1000, 3, seed=1)
@@ -713,6 +724,7 @@ class TestPowerLawFit:
         with pytest.raises(PowerLawFitError) as err:
             fit_power_law(g, k_min=2)
         assert err.value.tail_size < 10
+        assert f"at least {graphs.MIN_TAIL_SIZE} tail nodes" in str(err.value)
 
 
 class TestHurwitzZeta:
