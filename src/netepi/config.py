@@ -195,7 +195,7 @@ def parse_sweep_config(text: str) -> SweepSpec:
               for f in dataclasses.fields(SweepSpec)}
     fields.update(networks=list, betas=list, intervention=(dict, None))
     spec = _read(_load(text), fields, "sweep")
-    spec["networks"] = [parse_network_block(b, f"networks[{i}]")
+    spec["networks"] = [parse_network_block(b, f"sweep.networks[{i}]")
                         for i, b in enumerate(spec["networks"])]
     spec["betas"] = [_coerce(b, float, f"sweep.betas[{i}]") for i, b in enumerate(spec["betas"])]
     if spec["intervention"] is not None:

@@ -17,7 +17,7 @@ import copy
 import json
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from operator import length_hint
 from typing import IO, Optional, Sequence
@@ -239,18 +239,6 @@ class CompartmentState:
                 pos[edge] = len(items)
                 items.append(edge)
 
-    def infection_rate(self, beta: float) -> float:
-        return beta * len(self.si_edges.items)
-
-    def infect_one(self, rng: np.random.Generator | _ReplayedDraws) -> None:
-        self.infect(self.si_edges.choose(rng)[0])  # (susceptible, infected)
-
-    def recover_one(self, rng: np.random.Generator | _ReplayedDraws) -> None:
-        self.recover(self.infected.choose(rng))
-
-    def wane_one(self, rng: np.random.Generator | _ReplayedDraws) -> None:
-        self.wane(self.recovered.choose(rng))
-
 
 def resolve_infected_count(n: int, initial_infected: int | float) -> int:
     """Turn a count or fraction into a node count (fraction rounds, min 1)."""
@@ -323,14 +311,9 @@ class TrajectorySummary:
     seed: Optional[int] = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "peak_infected_fraction": self.peak_infected_fraction,
-                "peak_time": self.peak_time,
-                "final_recovered_fraction": self.final_recovered_fraction,
-                "seed": self.seed,
-            }
-        )
+        out = asdict(self)
+        del out["total_events"]  # not in summary.json, whose bytes are pinned
+        return json.dumps(out)
 
 
 def summarize_trajectory(traj: Trajectory) -> TrajectorySummary:
@@ -430,7 +413,9 @@ def _run_events(prefix: _SharedPrefix, pending: list) -> Trajectory:
     stop = min(after_t_max, pending[0].trigger_time) if pending else after_t_max
     beta, gamma, alpha = params.beta, params.gamma, params.alpha
     while t < t_max:
-        a_inf = pop.infection_rate(beta)
+        # The caches are read through pop at every event: a local bound to
+        # one would keep the record's S-I edge set alive through the fork.
+        a_inf = beta * len(pop.si_edges.items)
         a_rec = gamma * pop.n_i
         a_total = a_inf + a_rec + alpha * pop.n_r
         if a_total <= 0:
@@ -454,13 +439,13 @@ def _run_events(prefix: _SharedPrefix, pending: list) -> Trajectory:
         t += tau
         u = draw() * a_total
         if u < a_inf:
-            pop.infect_one(rng)
+            pop.infect(pop.si_edges.choose(rng)[0])  # (susceptible, infected)
             codes.append(0)
         elif u < a_inf + a_rec:
-            pop.recover_one(rng)
+            pop.recover(pop.infected.choose(rng))
             codes.append(1)
         else:
-            pop.wane_one(rng)
+            pop.wane(pop.recovered.choose(rng))
             codes.append(2)
         times.append(t)
     if prefix is not None:

@@ -242,12 +242,6 @@ def _run_batch(tasks: list[dict]) -> list[list[dict]]:
     return [_one_replicate(t) for t in tasks]
 
 
-def _mean_std(values: Sequence[float]) -> tuple[float, float]:
-    mean = statistics.fmean(values)
-    std = statistics.pstdev(values) if len(values) > 1 else 0.0
-    return mean, std
-
-
 def _point(spec: SweepSpec, beta: float, grid: Optional[np.ndarray] = None) -> dict:
     """One sweep point: its rates and intervention, and what to observe;
     with a time grid, each replicate also returns its infected curve on it."""
@@ -286,7 +280,8 @@ def _row(spec: SweepSpec, source: NetworkSource, beta: float, results: list[dict
     row: dict = {"network": source.label, "beta": beta, "replicates": spec.replicates}
     windowed = ("windowed_peak",) if spec.measure_from is not None else ()
     for key in ("scope", "peak", "peak_time", *windowed):
-        row[f"mean_{key}"], row[f"std_{key}"] = _mean_std([r[key] for r in results])
+        values = [r[key] for r in results]
+        row[f"mean_{key}"], row[f"std_{key}"] = statistics.fmean(values), statistics.pstdev(values)
     return row
 
 
@@ -331,15 +326,12 @@ def experiment_density_comparison(
     Density is controlled through graph size: d = <k>/(n-1) fixes
     n = <k>/d + 1 per point, with ER p = <k>/(n-1) and BA m = <k>/2.
     """
+    manifest = dict(locals(), densities=list(densities))
     columns = [
         "experiment", "model", "density", "n", "avg_degree",
         "mean_peak", "std_peak", "mean_scope", "std_scope", "replicates",
     ]
-    table = ExperimentTable("exp02", columns, manifest={
-        "densities": list(densities), "k_avg": k_avg, "beta": beta, "gamma": gamma,
-        "initial_fraction": initial_fraction, "t_max": t_max,
-        "replicates": replicates, "base_seed": base_seed,
-    })
+    table = ExperimentTable("exp02", columns, manifest=manifest)
     m = max(1, round(k_avg / 2.0))
     networks = []  # ER then BA at each density
     for d in densities:
@@ -382,16 +374,13 @@ def experiment_intervention_timing(
     in the epidemic growth phase; once the epidemic has peaked, the
     delayed window only sees the die-out tail.
     """
+    manifest = dict(locals(), trigger_times=list(trigger_times))
     columns = [
         "experiment", "trigger_time", "window_start",
         "mean_windowed_peak", "std_windowed_peak",
         "mean_peak", "std_peak", "mean_scope", "std_scope", "replicates",
     ]
-    table = ExperimentTable("exp03", columns, manifest={
-        "trigger_times": list(trigger_times), "n": n, "m": m, "cap": cap,
-        "beta": beta, "gamma": gamma, "initial_fraction": initial_fraction,
-        "t_max": t_max, "replicates": replicates, "base_seed": base_seed,
-    })
+    table = ExperimentTable("exp03", columns, manifest=manifest)
     for trigger in trigger_times:
         if not 0 < trigger < t_max:
             raise ParameterError(f"trigger time {trigger} outside (0, {t_max})")
@@ -416,18 +405,12 @@ WAVE_MIN_HEIGHT = 0.01
 WAVE_MIN_PROMINENCE = 0.005
 
 
-def count_waves(
-    times: np.ndarray,
-    mean_i_fraction: np.ndarray,
-    smooth_window: float,
-    min_height: float = WAVE_MIN_HEIGHT,
-    min_prominence: float = WAVE_MIN_PROMINENCE,
-) -> int:
+def count_waves(times: np.ndarray, mean_i_fraction: np.ndarray, smooth_window: float) -> int:
     """Local maxima of the smoothed infected-fraction curve.
 
     Stochastic I(t) is noisy, so the curve is moving-average smoothed
-    first; a wave must rise above min_height and stand out by
-    min_prominence.
+    first; a wave must rise to WAVE_MIN_HEIGHT and stand out by
+    WAVE_MIN_PROMINENCE (the thresholds exp04's manifest records).
     """
     if len(times) < 3:
         return 0
@@ -435,7 +418,7 @@ def count_waves(
     w = max(1, int(round(smooth_window / dt)))
     kernel = np.ones(w) / w
     smoothed = np.convolve(mean_i_fraction, kernel, mode="same")
-    return _count_peaks(smoothed.tolist(), min_height, min_prominence)
+    return _count_peaks(smoothed.tolist(), WAVE_MIN_HEIGHT, WAVE_MIN_PROMINENCE)
 
 
 def _count_peaks(x: list[float], min_height: float, min_prominence: float) -> int:
@@ -492,19 +475,16 @@ def experiment_sirs(
     Returns the table and, per row label, the (grid, mean infected
     fraction) curve behind the wave count. Smoothing window is t_max/100.
     """
+    manifest = dict(locals(), wave_min_height=WAVE_MIN_HEIGHT,
+                    wave_min_prominence=WAVE_MIN_PROMINENCE)
+    del manifest["networks"]  # not JSON
     if alpha <= 0:
         raise ParameterError("experiment needs a positive waning rate")
     columns = [
         "experiment", "network", "alpha", "waves",
         "long_run_mean_infected", "replicates",
     ]
-    table = ExperimentTable("exp04", columns, manifest={
-        "beta": beta, "gamma": gamma, "alpha": alpha, "t_max": t_max,
-        "initial_fraction": initial_fraction, "replicates": replicates,
-        "base_seed": base_seed, "grid_points": grid_points,
-        "wave_min_height": WAVE_MIN_HEIGHT,
-        "wave_min_prominence": WAVE_MIN_PROMINENCE,
-    })
+    table = ExperimentTable("exp04", columns, manifest=manifest)
     grid = np.linspace(0.0, t_max, grid_points)
     spec = SweepSpec(networks=networks, betas=[beta], gamma=gamma,
                      initial_fraction=initial_fraction, t_max=t_max, replicates=replicates,

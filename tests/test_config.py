@@ -257,8 +257,8 @@ class TestOneReader:
         (parse_config, FULL, ("interventions", 0), "interventions[0]"),
         (parse_config, FULL, ("output",), "output"),
         (parse_sweep_config, SWEEP, (), "sweep"),
-        (parse_sweep_config, SWEEP, ("networks", 1), "networks[1]"),
-        (parse_sweep_config, SWEEP, ("networks", 1, "edge_list"), "networks[1].edge_list"),
+        (parse_sweep_config, SWEEP, ("networks", 1), "sweep.networks[1]"),
+        (parse_sweep_config, SWEEP, ("networks", 1, "edge_list"), "sweep.networks[1].edge_list"),
         (parse_sweep_config, SWEEP, ("intervention",), "sweep.intervention"),
     ])
     def test_unknown_key_named_with_its_path(self, parse, doc, keys, path):

@@ -551,6 +551,30 @@ class TestInterventionsMatchReference:
         assert traj.times[-1] > 2.0
         assert made and alive == [0, 0]
 
+    def test_the_caches_a_rebuild_replaces_are_freed(self, monkeypatch):
+        # After each rebuild on a new graph, none of the S-I edge, infected
+        # and recovered sets it replaced may be alive: at the fork they are
+        # the dropped record's, and a loop local bound to one would keep it
+        # beside the new caches.
+        class Watched(dynamics._IndexedSet):
+            __slots__ = ("__weakref__",)
+
+        alive, rebind = [], CompartmentState.rebind_graph
+
+        def spy_rebind(state, graph):
+            old = [weakref.ref(s) for s in (state.si_edges, state.infected, state.recovered)]
+            rebind(state, graph)
+            alive.append(sum(1 for ref in old if ref() is not None))
+
+        monkeypatch.setattr(dynamics, "_IndexedSet", Watched)
+        monkeypatch.setattr(CompartmentState, "rebind_graph", spy_rebind)
+        g = generate_er(2000, 0.005, seed=3)
+        init = init_state(g, 0.02, seed=4)
+        thin = [InterventionSpec(t, "thin", target=0.003, seed=1) for t in (1.0, 2.0)]
+        traj = gillespie_run(g, RateParams(0.4, 1.0, 0.5), init, 4.0, 5, thin)
+        assert traj.times[-1] > 2.0
+        assert alive == [0, 0]
+
 
 class _CountingPCG64:
     """The bit generator of `np.random.default_rng(seed)`, counting its blocks."""
