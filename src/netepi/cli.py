@@ -203,30 +203,25 @@ def _run_config(cfg):
     # One child stream per role, so none alias. generate_state is
     # prefix-stable: init and run keep the words of a two-stream split.
     init_seed, run_seed, graph_seed = (
-        int(x) for x in np.random.SeedSequence(cfg.seed).generate_state(3)
+        int(x) for x in np.random.SeedSequence(cfg.init["seed"]).generate_state(3)
     )
-    params = RateParams(cfg.beta, cfg.gamma, cfg.alpha)
+    params = cfg.rates
+    initial = cfg.init["fraction"] if "fraction" in cfg.init else cfg.init["count"]
     if cfg.engine == "ode":
-        n = cfg.network.n
-        frac = (
-            cfg.initial_infected
-            if isinstance(cfg.initial_infected, float)
-            else cfg.initial_infected / n
-        )
-        eff = RateParams(cfg.beta * cfg.network.k_avg, cfg.gamma, cfg.alpha)
+        frac = initial if "fraction" in cfg.init else initial / cfg.network.n
+        eff = RateParams(params.beta * cfg.network.k_avg, params.gamma, params.alpha)
         sol = ode_sirs(eff, FractionState(1.0 - frac, frac), cfg.t_max, cfg.dt)
         return sol, None
     if cfg.engine == "abm":
         steps = math.floor(cfg.t_max)  # one step per unit of time, none past t_max
-        traj = abm_run(cfg.network.n, params, cfg.initial_infected, steps, run_seed)
+        traj = abm_run(cfg.network.n, params, initial, steps, run_seed)
     elif cfg.network.kind == "well_mixed":
         traj = gillespie_well_mixed(
-            cfg.network.n, cfg.network.k_avg, params, cfg.initial_infected,
-            cfg.t_max, run_seed,
+            cfg.network.n, cfg.network.k_avg, params, initial, cfg.t_max, run_seed
         )
     else:
         g = cfg.network.build_graph(graph_seed)
-        state = init_state(g, cfg.initial_infected, init_seed)
+        state = init_state(g, initial, init_seed)
         traj = gillespie_run(
             g, params, state, cfg.t_max, run_seed, interventions=cfg.interventions or None
         )
@@ -238,11 +233,11 @@ def _cmd_simulate(args) -> None:
     result, summary = _run_config(cfg)  # first, so bad input leaves no out dir behind
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    traj_path = Path(cfg.trajectory_path) if cfg.trajectory_path else out_dir / "trajectory.csv"
+    traj_path = cfg.output.get("trajectory", out_dir / "trajectory.csv")
     with open(traj_path, "w", encoding="utf-8") as fh:
         result.to_csv(fh)
     if summary is not None:
-        summ_path = Path(cfg.summary_path) if cfg.summary_path else out_dir / "summary.json"
+        summ_path = Path(cfg.output.get("summary", out_dir / "summary.json"))
         summ_path.write_text(summary.to_json() + "\n", encoding="utf-8")
     (out_dir / "manifest.json").write_text(cfg.to_json() + "\n", encoding="utf-8")
 

@@ -12,8 +12,8 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
+from .dynamics import RateParams
 from .errors import ConfigError, ParameterError
 from .experiments import NETWORK_FIELDS, NetworkSource, SweepSpec
 from .interventions import InterventionSpec
@@ -108,39 +108,23 @@ def parse_intervention_block(block: dict, path: str = "intervention") -> Interve
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully resolved single-run configuration."""
+    """A fully resolved single-run configuration, each block as it was read."""
 
     network: NetworkSource
-    beta: float
-    gamma: float
-    alpha: float
-    initial_infected: int | float
-    seed: int
+    rates: RateParams
+    init: dict  # "seed", then "fraction" or "count"
     t_max: float
     engine: str
     dt: float
     interventions: tuple[InterventionSpec, ...]
-    trajectory_path: Optional[str]
-    summary_path: Optional[str]
+    output: dict  # only the paths given: "trajectory", "summary"
 
     def to_dict(self) -> dict:
-        init: dict = {"seed": self.seed}
-        if isinstance(self.initial_infected, float):
-            init["fraction"] = self.initial_infected
-        else:
-            init["count"] = self.initial_infected
-        out: dict = {
-            "network": self.network.to_dict(),
-            "rates": {"beta": self.beta, "gamma": self.gamma, "alpha": self.alpha},
-            "init": init,
-            "t_max": self.t_max,
-            "engine": self.engine,
-            "dt": self.dt,
-            "interventions": [iv.to_dict() for iv in self.interventions],
-        }
-        paths = {"trajectory": self.trajectory_path, "summary": self.summary_path}
-        if any(paths.values()):
-            out["output"] = {key: path for key, path in paths.items() if path}
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        out.update(network=self.network.to_dict(), rates=dataclasses.asdict(self.rates),
+                   interventions=[iv.to_dict() for iv in self.interventions])
+        if not self.output:
+            del out["output"]
         return out
 
     def to_json(self) -> str:
@@ -162,6 +146,8 @@ def parse_config(text: str) -> RunConfig:
     init = _read(init, {"fraction": (float, None), "count": (int, None), "seed": int}, "init")
     if init["seed"] < 0:
         raise ConfigError(f"init.seed must be >= 0, got {init['seed']}")
+    given = "count" if init["fraction"] is None else "fraction"
+    init = {"seed": init["seed"], given: init[given]}
 
     engine = doc["engine"]
     if engine not in ENGINES:
@@ -175,14 +161,13 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("interventions are only supported by the gillespie engine")
 
     output = _read(doc["output"], {"trajectory": (str, None), "summary": (str, None)}, "output")
+    output = {key: path for key, path in output.items() if path}
     t_max, dt = _positive(doc["t_max"], "t_max"), _positive(doc["dt"], "dt")
     if engine == "abm" and rates["gamma"] > 1.0:  # the ABM's per-step recovery probability
         raise ConfigError(
             f"rates.gamma must be at most 1 under the abm engine, got {rates['gamma']}")
-    initial = init["count"] if init["fraction"] is None else init["fraction"]
-    return RunConfig(network=network, **rates, initial_infected=initial, seed=init["seed"],
-                     t_max=t_max, engine=engine, dt=dt, interventions=interventions,
-                     trajectory_path=output["trajectory"], summary_path=output["summary"])
+    return RunConfig(network=network, rates=RateParams(**rates), init=init, t_max=t_max,
+                     engine=engine, dt=dt, interventions=interventions, output=output)
 
 
 def parse_sweep_config(text: str) -> SweepSpec:

@@ -140,6 +140,11 @@ class SweepSpec:
             raise ParameterError("beta values must be >= 0")
         if not 0 < self.t_max < math.inf:  # every grid and window is built from it
             raise ParameterError(f"t_max must be finite and positive, got {self.t_max}")
+        share = self.initial_fraction  # init_state's ranges: a float is a fraction, an int a count
+        if isinstance(share, float) and not 0.0 < share <= 1.0:
+            raise ParameterError(f"initial infected fraction must be in (0, 1], got {share}")
+        if not isinstance(share, float) and share < 1:
+            raise ParameterError(f"initial infected count must be at least 1, got {share}")
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -165,9 +170,6 @@ class ExperimentTable:
     def write_manifest(self, stream: IO[str]) -> None:
         json.dump({"experiment": self.experiment, **self.manifest}, stream, indent=2)
         stream.write("\n")
-
-    def column(self, name: str) -> list:
-        return [row[name] for row in self.rows]
 
 
 def _csv_cell(x) -> str:
@@ -283,12 +285,6 @@ def _row(spec: SweepSpec, source: NetworkSource, beta: float, results: list[dict
         values = [r[key] for r in results]
         row[f"mean_{key}"], row[f"std_{key}"] = statistics.fmean(values), statistics.pstdev(values)
     return row
-
-
-def run_replicates(spec: SweepSpec, source: NetworkSource, beta: float) -> dict:
-    """Aggregate `spec.replicates` runs at one (network, beta) point."""
-    (results,) = _sweep(spec, [(source, [_point(spec, beta)])])
-    return _row(spec, source, beta, results)
 
 
 SCOPE_COLUMNS = [

@@ -98,8 +98,6 @@ class Graph:
 
         Reversed duplicates collapse; self-loops are rejected.
         """
-        if n < 0:
-            raise ParameterError("node count must be >= 0")
         _check_nodes(n)
         try:
             pairs = np.asarray(edges if isinstance(edges, np.ndarray)
@@ -141,6 +139,8 @@ def _check_array(count: int, what: str) -> None:
 def _check_nodes(n: int) -> None:
     """Bounds on n checked before a graph of n nodes allocates anything: its
     offsets fit in one array, and `from_edges`' edge keys u * n + v in int64."""
+    if n < 0:
+        raise ParameterError("node count must be >= 0")
     _check_array(n + 1, f"the offsets of {n} nodes")
     if n > _MAX_NODES:
         raise ParameterError(
@@ -160,8 +160,6 @@ def generate_er(n: int, p: float, seed: int) -> Graph:
     """Erdős–Rényi G(n, p): every unordered pair is an edge with probability p."""
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"edge probability must be in [0, 1], got {p}")
-    if n < 0:
-        raise ParameterError("node count must be >= 0")
     _check_nodes(n)
     rng = np.random.default_rng(seed)
     if n < 2 or p == 0.0:

@@ -36,17 +36,10 @@ class FractionState:
 
 @dataclass(frozen=True)
 class OdeSolution:
-    """Fixed-step solution grid with a parameter echo."""
+    """Fixed-step solution grid."""
 
     times: np.ndarray
     fractions: np.ndarray  # shape (len(times), 3), columns s, i, r
-    params: RateParams
-
-    @property
-    def final_state(self) -> FractionState:
-        s, i, r = self.fractions[-1]
-        total = s + i + r
-        return FractionState(s / total, i / total, r / total)
 
     def at_time(self, t: float) -> np.ndarray:
         idx = int(np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self.times) - 1))
@@ -81,7 +74,7 @@ def _integrate(init: FractionState, params: RateParams, t_max: float, dt: float)
              i + c * (((b1 + 2.0 * b2) + 2.0 * b3) + b4),
              r + c * (((c1 + 2.0 * c2) + 2.0 * c3) + c4))
         rows.append(y)
-    return OdeSolution(times=times, fractions=np.array(rows, dtype=np.float64), params=params)
+    return OdeSolution(times=times, fractions=np.array(rows, dtype=np.float64))
 
 
 def _sirs_rhs(y, p: RateParams) -> tuple:

@@ -46,8 +46,8 @@ from netepi.experiments import (
     _replicate_seeds,
     experiment_density_comparison,
     experiment_intervention_timing,
+    experiment_scope_sweep,
     experiment_sirs,
-    run_replicates,
 )
 from netepi.graphs import (
     classify_scale_free,
@@ -79,7 +79,7 @@ def engine_scope(source: NetworkSource, beta: float) -> tuple[float, float]:
         initial_fraction=SWEEP_INITIAL_FRACTION, t_max=30.0,
         replicates=SWEEP_REPLICATES, base_seed=SWEEP_BASE_SEED,
     )
-    row = run_replicates(spec, source, beta)
+    (row,) = experiment_scope_sweep(spec).rows
     # std_scope is the population std; this is the sample std / sqrt(n).
     return row["mean_scope"], row["std_scope"] / math.sqrt(SWEEP_REPLICATES - 1)
 
@@ -273,7 +273,7 @@ def test_criterion_08_intervention_timing_monotonic():
         triggers, n=3000, m=20, cap=5, beta=0.1, t_max=10.0,
         replicates=50, base_seed=0,
     )
-    peaks = table.column("mean_windowed_peak")
+    peaks = [row["mean_windowed_peak"] for row in table.rows]
     rho = float(spearmanr(triggers, peaks).statistic)
     report(8, "intervention timing monotonicity", rho > 0,
            f"Spearman rho={rho:.3f} over {len(triggers)} trigger times, need > 0")

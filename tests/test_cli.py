@@ -541,6 +541,26 @@ class TestSweepAndExperiments:
         assert (out / "sweep_table.csv").exists()
         assert (out / "sweep_manifest.json").exists()
 
+    @pytest.mark.parametrize("fraction", [1.5, 0])
+    def test_bad_initial_fraction_fails_before_any_graph(self, tmp_path, monkeypatch, capsys,
+                                                          fraction):
+        builds = []
+        for model in ("er", "ws", "ba"):
+            real = getattr(graphs, f"generate_{model}")
+            monkeypatch.setattr(graphs, f"generate_{model}",
+                                lambda *args, real=real: builds.append(args) or real(*args))
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({
+            "networks": [{"ba": {"n": 50, "m": 2}}], "betas": [0.1],
+            "initial_fraction": fraction, "replicates": 1, "t_max": 1.0,
+        }))
+        out = tmp_path / "out"
+        assert run_cli("sweep", str(spec), "--out-dir", str(out)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == (f"error: initial infected fraction must be in (0, 1], "
+                       f"got {float(fraction)}\n")
+        assert builds == [] and not out.exists()
+
     def test_non_integer_workers(self, tmp_path, monkeypatch, capsys):
         spec = tmp_path / "sweep.json"
         spec.write_text(json.dumps({

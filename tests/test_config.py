@@ -4,7 +4,8 @@ import json
 import pytest
 
 from netepi.config import parse_config, parse_network_block, parse_sweep_config
-from netepi.errors import ConfigError
+from netepi.dynamics import RateParams
+from netepi.errors import ConfigError, ParameterError
 from netepi.experiments import NetworkSource, SweepSpec
 from netepi.interventions import InterventionSpec
 
@@ -86,17 +87,17 @@ class TestParseNetworkBlock:
 class TestParseConfig:
     def test_minimal_defaults(self):
         cfg = parse_config(minimal())
-        assert cfg.alpha == 0.0
+        assert cfg.rates == RateParams(0.2, 1.0, 0.0)
         assert cfg.engine == "gillespie"
         assert cfg.dt == 0.01
         assert cfg.interventions == ()
-        assert cfg.initial_infected == 0.01
-        assert cfg.seed == 42
+        assert cfg.init == {"seed": 42, "fraction": 0.01}
+        assert cfg.output == {}
 
     def test_count_init(self):
         cfg = parse_config(minimal(init={"count": 5, "seed": 1}))
-        assert cfg.initial_infected == 5
-        assert isinstance(cfg.initial_infected, int)
+        assert list(cfg.init.items()) == [("seed", 1), ("count", 5)]
+        assert isinstance(cfg.init["count"], int)
 
     def test_fraction_and_count_conflict(self):
         with pytest.raises(ConfigError):
@@ -147,8 +148,14 @@ class TestParseConfig:
 
     def test_output_paths(self):
         cfg = parse_config(minimal(output={"trajectory": "a.csv", "summary": "b.json"}))
-        assert cfg.trajectory_path == "a.csv"
-        assert cfg.summary_path == "b.json"
+        assert cfg.output == {"trajectory": "a.csv", "summary": "b.json"}
+        assert parse_config(minimal(output={"summary": "b.json"})).output == {"summary": "b.json"}
+
+    def test_negative_rate_rejected_after_every_other_error(self):
+        with pytest.raises(ParameterError, match="rates must be finite and non-negative"):
+            parse_config(minimal(rates={"beta": -0.1, "gamma": 1.0}))
+        with pytest.raises(ConfigError, match="engine must be one of"):
+            parse_config(minimal(rates={"beta": -0.1, "gamma": 1.0}, engine="euler"))
 
 
 class TestParseSweepConfig:
@@ -286,7 +293,8 @@ class TestOneReader:
         ({"fraction": None, "count": 5, "seed": 1}, 5),
     ])
     def test_null_init_field_counts_as_absent(self, init, initial):
-        assert parse_config(minimal(init=init)).initial_infected == initial
+        kind = "fraction" if isinstance(initial, float) else "count"
+        assert parse_config(minimal(init=init)).init == {"seed": 1, kind: initial}
 
     @pytest.mark.parametrize("init, message", [
         ({"fraction": None, "seed": 1}, "init must give exactly one of 'fraction' or 'count'"),

@@ -2,6 +2,8 @@ import gc
 import hashlib
 import io
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from netepi.experiments import (
     experiment_scope_sweep,
     experiment_sirs,
     _count_peaks,
-    run_replicates,
 )
 
 
@@ -59,14 +60,31 @@ class TestSweepSpec:
         with pytest.raises(ParameterError):
             SweepSpec(networks=[NetworkSource.er(10, 0.1)], betas=[0.1], t_max=t_max)
 
+    @pytest.mark.parametrize("initial, message", [
+        (0.0, "fraction must be in (0, 1]"), (1.5, "fraction must be in (0, 1]"),
+        (math.nan, "fraction must be in (0, 1]"), (0, "count must be at least 1"),
+        (-2, "count must be at least 1"),
+    ])
+    def test_bad_initial_fraction_rejected(self, initial, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            SweepSpec(networks=[NetworkSource.er(10, 0.1)], betas=[0.1], initial_fraction=initial)
+
+    @pytest.mark.parametrize("initial", [1.0, 1e-9, 1, 5])
+    def test_initial_fraction_or_count_accepted(self, initial):
+        spec = SweepSpec(networks=[NetworkSource.er(10, 0.5)], betas=[0.1],
+                         initial_fraction=initial, replicates=1, t_max=1.0)
+        assert experiment_scope_sweep(spec).rows[0]["replicates"] == 1
+
 
 class TestRunReplicates:
+    """A sweep of one network and one beta: that point's replicates, as one row."""
+
     def test_beta_zero_scope_is_seed_fraction_ceiling(self):
         spec = SweepSpec(
             networks=[NetworkSource.er(100, 0.1)], betas=[0.0],
             t_max=20.0, replicates=5, base_seed=1,
         )
-        row = run_replicates(spec, spec.networks[0], 0.0)
+        (row,) = experiment_scope_sweep(spec).rows
         # with beta = 0 only the single seeded node recovers
         assert row["mean_scope"] == pytest.approx(0.01)
         assert row["std_scope"] == 0.0
@@ -76,7 +94,7 @@ class TestRunReplicates:
             networks=[NetworkSource.well_mixed(200, 10.0)], betas=[0.2],
             replicates=1, base_seed=3, t_max=10.0,
         )
-        row = run_replicates(spec, spec.networks[0], 0.2)
+        (row,) = experiment_scope_sweep(spec).rows
         assert row["replicates"] == 1
         assert 0.0 <= row["mean_scope"] <= 1.0
         assert row["std_scope"] == 0.0
@@ -86,9 +104,7 @@ class TestRunReplicates:
             networks=[NetworkSource.ba(200, 3)], betas=[0.15],
             replicates=5, base_seed=7, t_max=10.0,
         )
-        a = run_replicates(spec, spec.networks[0], 0.15)
-        b = run_replicates(spec, spec.networks[0], 0.15)
-        assert a == b
+        assert experiment_scope_sweep(spec).rows == experiment_scope_sweep(spec).rows
 
 
 class TestScopeSweep:
@@ -115,7 +131,7 @@ class TestScopeSweep:
             betas=[0.05, 0.3], replicates=20, base_seed=2, t_max=20.0,
         )
         table = experiment_scope_sweep(spec)
-        scopes = table.column("mean_scope")
+        scopes = [row["mean_scope"] for row in table.rows]
         assert scopes[1] > scopes[0] + 0.3
 
     def test_manifest_round_trips_spec(self):
@@ -277,9 +293,8 @@ class TestReplicateMajor:
         rows = iter(table.rows)
         for source in spec.networks:
             for beta in spec.betas:
-                expected = run_replicates(spec, source, beta)
-                expected.update(experiment="exp01", gamma=spec.gamma, alpha=spec.alpha)
-                assert next(rows) == expected
+                point = replace(spec, networks=[source], betas=[beta])
+                assert [next(rows)] == experiment_scope_sweep(point).rows
 
 
 class TestCountWaves:
@@ -359,7 +374,7 @@ class TestExperimentSirs:
             beta=0.3, gamma=1.0, alpha=0.2, t_max=30.0,
             replicates=5, base_seed=1, grid_points=300,
         )
-        labels = table.column("network")
+        labels = [row["network"] for row in table.rows]
         assert labels == ["WM", "WM[sir-control]"]
         assert set(curves) == {"WM", "WM[sir-control]"}
         grid, curve = curves["WM"]

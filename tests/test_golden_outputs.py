@@ -63,6 +63,17 @@ GOLDEN = {
         "fce68d1df25e93bf39faeb46a0b22385fd4a17f24d93b80c9261f019227878d1",
     "abm/summary.json":
         "e4e16fc2944c3488ae4e8ba41f6d9f34c6534234c72c12a7861951203252d601",
+    "cp/t.csv":
+        "3dd10f6291d600875374e2d572f18edaf974baf48db1ebb3020a1a2420212479",
+    "cp/manifest.json":
+        "85b0ae8d28992a27738debf767c2f7f34246726faf027c63b9153c975f41a6ab",
+    "cp/s.json":
+        "a95b75acf2481d33f96331910dac4727852059f1b30fb25796e88d2e05ac6ca5",
+    # 4 of 80 nodes is the ode run's 0.05 fraction, so the same curve.
+    "odec/t.csv":
+        "e3a904f6ac9a8a92df5125db76740a1f0d0d510a6671e56215ac2b5db59c479b",
+    "odec/manifest.json":
+        "754998eb233fb6bcbe04180b9c0db3fcc26904f622041d0905cdcf4e78528dbb",
 }
 
 SWEEP = {
@@ -106,6 +117,20 @@ SIMULATE = {
     "abm": _simulate_config(
         {"well_mixed": {"n": 80, "k_avg": 5}}, engine="abm",
         rates={"beta": 0.6, "gamma": 0.3},
+    ),
+    # An init count, a default alpha and output paths: the manifest's
+    # other shapes.
+    "cp": {
+        "network": {"ba": {"n": 60, "m": 3}},
+        "rates": {"beta": 0.5, "gamma": 1.0},
+        "init": {"count": 3, "seed": 5},
+        "t_max": 4.0,
+        "interventions": [{"t": 1.0, "action": "degree_cap", "cap": 2}],
+        "output": {"trajectory": "cp/t.csv", "summary": "cp/s.json"},
+    },
+    "odec": _simulate_config(
+        {"well_mixed": {"n": 80, "k_avg": 5}}, engine="ode", dt=0.05,
+        init={"count": 4, "seed": 11}, output={"trajectory": "odec/t.csv"},
     ),
 }
 

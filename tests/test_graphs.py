@@ -133,6 +133,17 @@ class TestFromEdges:
             with pytest.raises(ParameterError, match=f"{top + 1} nodes exceed {top}"):
                 build(top + 1)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda n: Graph.from_edges(n, []), "node count must be >= 0"),
+        (lambda n: generate_er(n, 0.5, 1), "node count must be >= 0"),
+        (lambda n: generate_ws(n, 4, 0.1, 1), "need 0 < k < n, got k=4, n=-3"),
+        (lambda n: generate_ba(n, 2, 1), "need 1 <= m < n, got m=2, n=-3"),
+    ], ids=["from_edges", "er", "ws", "ba"])
+    def test_negative_node_count(self, build, message):
+        with pytest.raises(ParameterError) as err:
+            build(-3)
+        assert str(err.value) == message
+
     def test_neighbour_ids_are_shared_objects(self):
         # Ids above 256 are not interned by Python; one object each keeps memory down.
         g = generate_ba(1000, 3, seed=1)

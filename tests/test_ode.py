@@ -55,7 +55,7 @@ class TestOdeSir:
     def test_pure_decay_closed_form(self):
         # beta = 0 gives i(t) = i0 * exp(-gamma * t) exactly.
         sol = ode_sir(RateParams(0.0, 1.0), FractionState(0.9, 0.1), 1.0)
-        assert sol.final_state.i == pytest.approx(0.1 * math.exp(-1.0), abs=1e-6)
+        assert sol.fractions[-1, 1] == pytest.approx(0.1 * math.exp(-1.0), abs=1e-6)
 
     def test_conservation(self):
         sol = ode_sir(RateParams(0.4, 0.1), FractionState(0.99, 0.01), 100.0)
@@ -66,11 +66,11 @@ class TestOdeSir:
         beta, gamma, i0 = 0.3, 0.1, 0.01
         sol = ode_sir(RateParams(beta, gamma), FractionState(1 - i0, i0), 400.0)
         expected = sir_final_size(beta, gamma, 1 - i0, i0)
-        assert sol.final_state.r == pytest.approx(expected, abs=1e-6)
+        assert sol.fractions[-1, 2] == pytest.approx(expected, abs=1e-6)
 
     def test_subcritical_no_epidemic(self):
         sol = ode_sir(RateParams(0.05, 0.1), FractionState(0.99, 0.01), 200.0)
-        assert sol.final_state.r < 0.03
+        assert sol.fractions[-1, 2] < 0.03
 
     def test_ignores_alpha(self):
         base = ode_sir(RateParams(0.3, 0.1), FractionState(0.99, 0.01), 50.0)
@@ -80,9 +80,9 @@ class TestOdeSir:
     def test_fourth_order_convergence(self):
         params = RateParams(0.5, 0.2)
         init = FractionState(0.99, 0.01)
-        reference = ode_sir(params, init, 10.0, dt=0.0001).final_state.i
+        reference = ode_sir(params, init, 10.0, dt=0.0001).fractions[-1, 1]
         err = [
-            abs(ode_sir(params, init, 10.0, dt=dt).final_state.i - reference)
+            abs(ode_sir(params, init, 10.0, dt=dt).fractions[-1, 1] - reference)
             for dt in (0.2, 0.1)
         ]
         assert 10.0 < err[0] / err[1] < 22.0  # ~2^4 for a 4th-order method
@@ -115,10 +115,10 @@ class TestOdeSirs:
         params = RateParams(1.0, 0.5, 0.25)
         sol = ode_sirs(params, FractionState(0.99, 0.01), 400.0)
         eq = endemic_equilibrium(params)
-        final = sol.final_state
-        assert final.s == pytest.approx(eq.s, abs=1e-6)
-        assert final.i == pytest.approx(eq.i, abs=1e-6)
-        assert final.r == pytest.approx(eq.r, abs=1e-6)
+        s, i, r = sol.fractions[-1]
+        assert s == pytest.approx(eq.s, abs=1e-6)
+        assert i == pytest.approx(eq.i, abs=1e-6)
+        assert r == pytest.approx(eq.r, abs=1e-6)
 
     def test_oscillatory_approach(self):
         # With slow waning the infected fraction overshoots and rings
