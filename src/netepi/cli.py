@@ -190,11 +190,9 @@ def _cmd_generate(args) -> None:
 
 def _cmd_metrics(args) -> None:
     if args.edge_list == "-":
-        text = sys.stdin.read()
-    else:  # newline="" hands a lone \r to the parser, which rejects it
-        with open(args.edge_list, encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    g = graphs.load_edge_list(text, compact_ids=args.compact_ids)
+        g = graphs.load_edge_list(sys.stdin.read(), compact_ids=args.compact_ids)
+    else:
+        g = NetworkSource.edge_list(args.edge_list, args.compact_ids).build_graph(0)
     report = graphs.metrics_report(g, k_min=args.k_min)
     _write_text(args.out, json.dumps(report, indent=2) + "\n")
 

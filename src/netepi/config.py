@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .dynamics import RateParams
+from .dynamics import RateParams, resolve_infected_count
 from .errors import ConfigError, ParameterError
 from .experiments import NETWORK_FIELDS, NetworkSource, SweepSpec
 from .interventions import InterventionSpec
@@ -148,6 +148,11 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"init.seed must be >= 0, got {init['seed']}")
     given = "count" if init["fraction"] is None else "fraction"
     init = {"seed": init["seed"], given: init[given]}
+    if network.kind == "well_mixed":  # a graph's n is known only once it is built
+        try:
+            resolve_infected_count(network.n, init[given])
+        except ParameterError as exc:
+            raise ConfigError(f"init: {exc}") from exc
 
     engine = doc["engine"]
     if engine not in ENGINES:
@@ -157,8 +162,8 @@ def parse_config(text: str) -> RunConfig:
 
     interventions = tuple(parse_intervention_block(d, f"interventions[{i}]")
                           for i, d in enumerate(doc["interventions"]))
-    if interventions and engine != "gillespie":
-        raise ConfigError("interventions are only supported by the gillespie engine")
+    if interventions and (engine != "gillespie" or network.kind == "well_mixed"):
+        raise ConfigError("interventions need the gillespie engine on a network with a graph")
 
     output = _read(doc["output"], {"trajectory": (str, None), "summary": (str, None)}, "output")
     output = {key: path for key, path in output.items() if path}

@@ -362,7 +362,8 @@ class _SharedPrefix:
     time crossed that call's trigger or t_max. A call whose first trigger
     falls after t resumes it there; any other call restarts it from the
     initial state. `_run_events` forks every run off it at its first
-    trigger, the same way; a record that no caller holds is freed there.
+    trigger, the same way; a record that no caller holds is freed there,
+    or, in a run that does not fork, before its trajectory is built.
     A run that stops with no draw pending, absorbed or at t == t_max, keeps
     its last `at`: no resume reads it, as an absorbed run breaks before it
     draws and at t_max the loop does not start (`TestSharedPrefix` has both).
@@ -450,6 +451,7 @@ def _run_events(prefix: _SharedPrefix, pending: list) -> Trajectory:
         times.append(t)
     if prefix is not None:
         prefix.t = t  # the record's run ended here: absorbed, or past t_max
+        prefix = None  # a private record is freed here, a held one keeps its data
     if times[-1] != t:
         times.append(t)
         codes.append(3)
@@ -477,7 +479,7 @@ def gillespie_run(
     calls with the same arguments but other interventions may share, or
     a fresh one. The trajectory is the same either way. A fresh record is
     passed straight on, so that only `_run_events` holds it and it is
-    freed at the fork.
+    freed at the fork, or before the trajectory is built.
     """
     if init.graph is not g:
         raise StateError("initial state was built for a different graph")

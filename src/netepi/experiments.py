@@ -23,9 +23,9 @@ from __future__ import annotations
 import json
 import math
 import os
-import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from statistics import fmean, pstdev
 from typing import IO, Optional, Sequence
 
 import numpy as np
@@ -134,6 +134,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.replicates < 1:
             raise ParameterError("replicates must be >= 1")
+        if self.base_seed < 0:
+            raise ParameterError(f"base_seed must be >= 0, got {self.base_seed}")
         if not self.betas:
             raise ParameterError("beta grid must be non-empty")
         if any(b < 0 for b in self.betas):
@@ -211,21 +213,20 @@ def _one_replicate(args: dict) -> list[dict]:
     Module-level so a process pool can pickle it.
     """
     source: NetworkSource = args["source"]
-    graph_seed, init_seed, run_seed = _replicate_seeds(args["base_seed"], args["index"])
-    fraction, t_max = args["initial_fraction"], args["t_max"]
-    if source.kind != "well_mixed":
-        g = args["graph"] or source.build_graph(graph_seed)
-        state = init_state(g, fraction, init_seed)
+    spec: SweepSpec = args["spec"]
+    graph_seed, init_seed, run_seed = _replicate_seeds(spec.base_seed, args["index"])
+    if source.kind == "well_mixed":  # no graph: its points run without their interventions
+        return [_observe(gillespie_well_mixed(source.n, source.k_avg, point["params"],
+                                              spec.initial_fraction, spec.t_max, run_seed), point)
+                for point in args["points"]]
+    g = args["graph"] or source.build_graph(graph_seed)
+    state = init_state(g, spec.initial_fraction, init_seed)
     prefix = _SharedPrefix()
     out = []
     for point in args["points"]:
-        if source.kind == "well_mixed":
-            traj = gillespie_well_mixed(source.n, source.k_avg, point["params"], fraction,
-                                        t_max, run_seed)
-        else:
-            params, interventions = point["params"], point["interventions"]
-            traj = gillespie_run(g, params, state, t_max, run_seed, interventions=interventions,
-                                 prefix=prefix if interventions else None)
+        interventions = point["interventions"]
+        traj = gillespie_run(g, point["params"], state, spec.t_max, run_seed,
+                             interventions=interventions, prefix=prefix if interventions else None)
         out.append(_observe(traj, point))
     return out
 
@@ -255,36 +256,32 @@ def _point(spec: SweepSpec, beta: float, grid: Optional[np.ndarray] = None) -> d
     }
 
 
-def _sweep(spec: SweepSpec, plan: Sequence[tuple[NetworkSource, list[dict]]]) -> list[list[dict]]:
+def _sweep(spec: SweepSpec, plan: Sequence[tuple[NetworkSource, list[dict]]]) -> list[dict]:
     """Run every (source, points) of `plan` as one batch, one task per replicate.
 
     `spec` supplies what all points share: replicates, base seed, initial
-    fraction and t_max. Returns each point's results in replicate order,
-    the points in plan order.
+    fraction and t_max. Returns one summary per point, in plan order: the
+    replicate count, then `mean_<k>` and `std_<k>` (population) over the
+    replicates, in order, of every number `_observe` returned for it, and
+    `mean_i_curve` if the point has a grid.
     """
     plan = [(source, points) for source, points in plan if points]
-    shared = {"base_seed": spec.base_seed, "initial_fraction": spec.initial_fraction,
-              "t_max": spec.t_max}
     # An edge list is the same graph for every replicate: read it once.
     loaded = [source.build_graph(0) if source.kind == "edge_list" else None for source, _ in plan]
-    tasks = [{**shared, "source": source, "graph": graph, "index": i, "points": points}
+    tasks = [{"spec": spec, "source": source, "graph": graph, "index": i, "points": points}
              for (source, points), graph in zip(plan, loaded) for i in range(spec.replicates)]
-    results = iter(_run_batch(tasks))
-    grouped = []
-    for _, points in plan:
-        replicates = [next(results) for _ in range(spec.replicates)]
-        grouped.extend([rep[p] for rep in replicates] for p in range(len(points)))
-    return grouped
-
-
-def _row(spec: SweepSpec, source: NetworkSource, beta: float, results: list[dict]) -> dict:
-    """Aggregate one point's replicate results into a table row."""
-    row: dict = {"network": source.label, "beta": beta, "replicates": spec.replicates}
-    windowed = ("windowed_peak",) if spec.measure_from is not None else ()
-    for key in ("scope", "peak", "peak_time", *windowed):
-        values = [r[key] for r in results]
-        row[f"mean_{key}"], row[f"std_{key}"] = statistics.fmean(values), statistics.pstdev(values)
-    return row
+    results, summaries = _run_batch(tasks), []
+    for at in range(0, len(tasks), spec.replicates):  # one source's replicates
+        for observed in zip(*results[at:at + spec.replicates]):  # one point, replicate by replicate
+            summary: dict = {"replicates": spec.replicates}
+            for key in observed[0]:
+                values = [r[key] for r in observed]
+                if key == "i_curve":
+                    summary["mean_i_curve"] = np.mean(values, axis=0)
+                else:
+                    summary[f"mean_{key}"], summary[f"std_{key}"] = fmean(values), pstdev(values)
+            summaries.append(summary)
+    return summaries
 
 
 SCOPE_COLUMNS = [
@@ -298,12 +295,12 @@ def experiment_scope_sweep(spec: SweepSpec, experiment_id: str = "exp01") -> Exp
     """Final-epidemic-scope sweep over the infection-rate grid (threshold scan)."""
     table = ExperimentTable(experiment_id, SCOPE_COLUMNS, manifest={"spec": spec.to_dict()})
     plan = [(source, [_point(spec, beta) for beta in spec.betas]) for source in spec.networks]
-    results = iter(_sweep(spec, plan))
+    summaries = iter(_sweep(spec, plan))
     for source in spec.networks:
         for beta in spec.betas:
-            row = _row(spec, source, beta, next(results))
-            row.update(experiment=experiment_id, gamma=spec.gamma, alpha=spec.alpha)
-            table.rows.append(row)
+            table.rows.append({"network": source.label, "beta": beta, **next(summaries),
+                               "experiment": experiment_id, "gamma": spec.gamma,
+                               "alpha": spec.alpha})
     return table
 
 
@@ -341,12 +338,11 @@ def experiment_density_comparison(
         t_max=t_max, replicates=replicates, base_seed=base_seed,
     )
     point = _point(spec, beta)
-    results = _sweep(spec, [(source, [point]) for source in networks])
-    for i, (source, res) in enumerate(zip(networks, results)):
-        row = _row(spec, source, beta, res)
-        row.update(experiment="exp02", model=source.label, density=densities[i // 2],
-                   n=source.n, avg_degree=k_avg)
-        table.rows.append(row)
+    summaries = _sweep(spec, [(source, [point]) for source in networks])
+    for i, (source, summary) in enumerate(zip(networks, summaries)):
+        table.rows.append({"network": source.label, "beta": beta, **summary,
+                           "experiment": "exp02", "model": source.label,
+                           "density": densities[i // 2], "n": source.n, "avg_degree": k_avg})
     return table
 
 
@@ -389,11 +385,11 @@ def experiment_intervention_timing(
     # replicate's capped graph is computed once (InterventionSpec.apply).
     specs = [replace(base, intervention=InterventionSpec(t, "degree_cap", cap=cap, seed=base_seed),
                      measure_from=t + 0.33 * (t_max - t)) for t in trigger_times]
-    results = _sweep(base, [(source, [_point(spec, beta) for spec in specs])])
-    for trigger, spec, res in zip(trigger_times, specs, results):
-        row = _row(spec, source, beta, res)
-        row.update(experiment="exp03", trigger_time=trigger, window_start=spec.measure_from)
-        table.rows.append(row)
+    summaries = _sweep(base, [(source, [_point(spec, beta) for spec in specs])])
+    for trigger, spec, summary in zip(trigger_times, specs, summaries):
+        table.rows.append({"network": source.label, "beta": beta, **summary,
+                           "experiment": "exp03", "trigger_time": trigger,
+                           "window_start": spec.measure_from})
     return table
 
 
@@ -486,11 +482,11 @@ def experiment_sirs(
                      initial_fraction=initial_fraction, t_max=t_max, replicates=replicates,
                      base_seed=base_seed)
     points = [_point(replace(spec, alpha=a), beta, grid) for a in (alpha, 0.0)]
-    results = iter(_sweep(spec, [(source, points) for source in networks]))
+    summaries = iter(_sweep(spec, [(source, points) for source in networks]))
     curves: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for source in networks:
         for a in (alpha, 0.0):
-            mean_curve = np.mean([r["i_curve"] for r in next(results)], axis=0)
+            mean_curve = next(summaries)["mean_i_curve"]
             waves = count_waves(grid, mean_curve, smooth_window=t_max / 100.0)
             label = source.label if a > 0 else f"{source.label}[sir-control]"
             tail = mean_curve[grid >= t_max / 2.0]

@@ -113,6 +113,8 @@ class InterventionSpec:
                 raise ParameterError("thin needs a target density in [0, 1]")
         else:
             raise ParameterError(f"unknown intervention action {self.action!r}")
+        if self.seed < 0:
+            raise ParameterError(f"intervention seed must be >= 0, got {self.seed}")
 
     def apply(self, g: Graph) -> Graph:
         """The transformed graph; specs that differ only in trigger time

@@ -370,9 +370,18 @@ class TestSimulate:
         {"network": {"well_mixed": {"n": 1000, "k_avg": 10}}, "engine": "ode", "dt": 1e-300},
         {"network": {"well_mixed": {"n": 1000, "k_avg": 10}}, "engine": "ode", "dt": 1e-300,
          "t_max": 1e300},
+        {"network": {"well_mixed": {"n": 80, "k_avg": 5}}, "engine": "ode",
+         "init": {"count": 0, "seed": 5}},
+        {"network": {"well_mixed": {"n": 80, "k_avg": 5}}, "engine": "ode",
+         "init": {"fraction": 0.0, "seed": 5}},
+        {"network": {"well_mixed": {"n": 80, "k_avg": 5}}, "engine": "ode",
+         "init": {"fraction": 1.5, "seed": 5}},
+        {"network": {"well_mixed": {"n": 80, "k_avg": 5}}, "engine": "ode",
+         "init": {"count": 81, "seed": 5}},
     ], ids=["negative-beta", "ba-m-not-below-n", "count-above-n", "well-mixed-negative-k",
             "abm-n-zero", "abm-n-negative", "ode-n-zero", "ode-grid-too-large",
-            "ode-grid-steps-infinite"])
+            "ode-grid-steps-infinite", "ode-count-zero", "ode-fraction-zero",
+            "ode-fraction-above-one", "ode-count-above-n"])
     def test_range_error_is_bad_input(self, tmp_path, capsys, overrides):
         cfg = self.config(tmp_path, **overrides)
         out = tmp_path / "out"
@@ -451,13 +460,14 @@ def _in_fresh_dir():
             os.chdir(cwd)
 
 
-def _simulate(doc) -> tuple[int, str]:
+def _simulate(doc, command: str = "simulate") -> tuple[int, str]:
+    """`netepi <command>` (simulate or sweep) on `doc`, in a fresh directory."""
     with _in_fresh_dir():
         with open("run.json", "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = dispatch(["simulate", "run.json", "--out-dir", "out"])
+            code = dispatch([command, "run.json", "--out-dir", "out"])
         if code != EXIT_OK:  # a failed run writes nothing
             assert os.listdir(".") == ["run.json"]
     return code, err.getvalue()
@@ -488,6 +498,9 @@ class TestBadConfigValues:
         (("t_max",), "5"),
         (("network",), {"ba": {"n": 1e20, "m": 3}}),  # offsets past any numpy array
         (("network",), {"well_mixed": {"n": 1e17, "k_avg": 5}}),  # counts past 2**53
+        (("interventions", 0, "seed"), -1),
+        (("interventions", 0), {"t": 1.0, "action": "thin", "target": 0.01, "seed": -1}),
+        (("network",), {"well_mixed": {"n": 40, "k_avg": 4}}),  # no graph to intervene on
     ])
     def test_fails_at_parse_time(self, path, value):
         code, err = _simulate(_with(VALID_CONFIG, path, value))
@@ -512,7 +525,8 @@ class TestBadConfigValues:
         ("betas", ["x"]), ("replicates", "many"), ("t_max", math.inf), ("t_max", 0),
         ("networks", 5), ("networks", [{"well_mixed": {"n": 50, "k_avg": -5}}]),
         ("replicates", 1.9), ("replicates", True), ("base_seed", 2.9), ("t_max", "5"),
-        ("betas", [True]), ("betas", ["0.5"]),
+        ("betas", [True]), ("betas", ["0.5"]), ("base_seed", -1),
+        ("intervention", {"t": 0.5, "action": "degree_cap", "cap": 2, "seed": -1}),
     ])
     def test_bad_sweep_value(self, tmp_path, capsys, key, value):
         doc = {"networks": [{"well_mixed": {"n": 50, "k_avg": 5}}], "betas": [0.1],
@@ -525,6 +539,76 @@ class TestBadConfigValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+def _fuzz_config(network: dict, **extra) -> dict:
+    doc = {"network": network, "rates": {"beta": 0.5, "gamma": 1.0, "alpha": 0.1},
+           "init": {"fraction": 0.1, "seed": 3}, "t_max": 2.0}
+    doc.update(extra)
+    return doc
+
+
+# One small config per network source and engine, and one sweep spec.
+FUZZ_SIMULATE = {
+    "er-degree-cap": _fuzz_config(
+        {"er": {"n": 30, "p": 0.2}},
+        interventions=[{"t": 0.5, "action": "degree_cap", "cap": 2, "seed": 1}]),
+    "ws-thin": _fuzz_config(
+        {"ws": {"n": 30, "k": 4, "p_rewire": 0.1}},
+        interventions=[{"t": 0.5, "action": "thin", "target": 0.05, "seed": 1}]),
+    "ba": _fuzz_config({"ba": {"n": 30, "m": 2}}),
+    "edge-list": _fuzz_config({"edge_list": {"path": "set by the test"}}),
+    "well-mixed": _fuzz_config({"well_mixed": {"n": 30, "k_avg": 4}}),
+    "abm": _fuzz_config({"well_mixed": {"n": 30, "k_avg": 4}}, engine="abm"),
+    "ode": _fuzz_config({"well_mixed": {"n": 30, "k_avg": 4}}, engine="ode", dt=0.05),
+}
+FUZZ_SWEEP = {
+    "networks": [{"er": {"n": 30, "p": 0.2}}, {"well_mixed": {"n": 30, "k_avg": 4}}],
+    "betas": [0.5], "gamma": 1.0, "alpha": 0.1, "initial_fraction": 0.1, "t_max": 2.0,
+    "replicates": 2, "base_seed": 1,
+    "intervention": {"t": 0.5, "action": "degree_cap", "cap": 2, "seed": 1},
+    "measure_from": 1.0,
+}
+
+
+class TestNumericLeafFuzz:
+    """Every numeric leaf set in turn to -1, then to 0: the run either
+    succeeds (exit 0) or is bad input (exit 2, one `error:` line), and
+    `dispatch` never raises."""
+
+    @staticmethod
+    def failures(doc, command: str) -> list:
+        bad = []
+        for path in _leaf_paths(doc):
+            leaf = doc
+            for key in path:
+                leaf = leaf[key]
+            if type(leaf) not in (int, float):  # bool is an int
+                continue
+            for value in (-1, 0):
+                try:
+                    code, err = _simulate(_with(doc, path, value), command)
+                except Exception as exc:  # every escape is a failure
+                    bad.append((path, value, repr(exc)))
+                    continue
+                if code != EXIT_OK and not (
+                        code == EXIT_INPUT and err.startswith("error: ") and err.count("\n") == 1):
+                    bad.append((path, value, code, err))
+        return bad
+
+    @pytest.mark.parametrize("name", sorted(FUZZ_SIMULATE))
+    def test_simulate_config(self, tmp_path, name):
+        doc = FUZZ_SIMULATE[name]
+        if "edge_list" in doc["network"]:
+            assert run_cli("generate", "--model", "ba", "--n", "30", "--m", "2",
+                           "--out", str(tmp_path / "g.txt")) == EXIT_OK
+            doc = _with(doc, ("network", "edge_list", "path"), str(tmp_path / "g.txt"))
+        assert _simulate(doc) == (EXIT_OK, "")
+        assert self.failures(doc, "simulate") == []
+
+    def test_sweep_spec(self):
+        assert _simulate(FUZZ_SWEEP, "sweep") == (EXIT_OK, "")
+        assert self.failures(FUZZ_SWEEP, "sweep") == []
 
 
 class TestSweepAndExperiments:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -140,6 +141,23 @@ class TestParseConfig:
                     interventions=iv,
                 )
             )
+        # A well-mixed gillespie run has no graph to transform.
+        with pytest.raises(ConfigError, match="interventions need the gillespie engine"):
+            parse_config(minimal(network={"well_mixed": {"n": 100, "k_avg": 10}},
+                                 interventions=iv))
+
+    @pytest.mark.parametrize("engine", ["gillespie", "abm", "ode"])
+    @pytest.mark.parametrize("init, message", [
+        ({"count": 0}, "count must be in 1..100, got 0"),
+        ({"count": 101}, "count must be in 1..100, got 101"),
+        ({"fraction": 0.0}, "fraction must be in (0, 1], got 0.0"),
+        ({"fraction": 1.5}, "fraction must be in (0, 1], got 1.5"),
+    ])
+    def test_well_mixed_init_checked_at_parse_time(self, engine, init, message):
+        doc = minimal(engine=engine, network={"well_mixed": {"n": 100, "k_avg": 10}},
+                      init={**init, "seed": 1})
+        with pytest.raises(ConfigError, match=re.escape(f"init: initial infected {message}")):
+            parse_config(doc)
 
     def test_round_trip_idempotent(self):
         cfg = parse_config(minimal(engine="gillespie", output={"trajectory": "out.csv"}))

@@ -695,6 +695,34 @@ class TestSharedPrefix:
         assert 0 < prefix.t < 1.0 and read > 0 and (high is None or 0 <= high < 2**32)
         assert not any(isinstance(x, _ReplayedDraws) for x in gc.get_referents(prefix))
 
+    def test_a_private_record_is_freed_before_the_trajectory_is_built(self, monkeypatch):
+        # A run with no intervention never forks. Its private record holds
+        # the run's times list, which would stay beside the trajectory's
+        # arrays; it must be dead when `_trajectory` builds them. A record
+        # that a caller holds keeps its data for the caller's next point.
+        class Watched(_SharedPrefix):
+            __slots__ = ("__weakref__",)
+
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+
+        made, alive, build = [], [], dynamics._trajectory
+
+        def spy_trajectory(*args):
+            alive.append(sum(1 for ref in made if ref() is not None))
+            return build(*args)
+
+        monkeypatch.setattr(dynamics, "_SharedPrefix", Watched)
+        monkeypatch.setattr(dynamics, "_trajectory", spy_trajectory)
+        g = generate_er(300, 0.02, seed=2)
+        init, params = init_state(g, 5, seed=3), RateParams(0.4, 1.0, 0.2)
+        gillespie_run(g, params, init, 5.0, 4)
+        held = Watched()
+        traj = gillespie_run(g, params, init, 5.0, 4, prefix=held)
+        assert alive == [0, 1]
+        assert held.times is not None and len(held.times) == len(traj)
+
     def test_points_around_t_max_and_other_point_shapes(self):
         # The intervention-free run stops at the draw past t_max, after its
         # last event at t_last. Triggers in the gap after t_last fork off at

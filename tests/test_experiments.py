@@ -55,6 +55,10 @@ class TestSweepSpec:
         with pytest.raises(ParameterError):
             SweepSpec(networks=[NetworkSource.er(10, 0.1)], betas=[0.1], replicates=0)
 
+    def test_negative_base_seed_rejected(self):
+        with pytest.raises(ParameterError, match="base_seed must be >= 0, got -1"):
+            SweepSpec(networks=[NetworkSource.er(10, 0.1)], betas=[0.1], base_seed=-1)
+
     @pytest.mark.parametrize("t_max", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_t_max_rejected(self, t_max):
         with pytest.raises(ParameterError):

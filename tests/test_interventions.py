@@ -154,6 +154,15 @@ class TestInterventionSpec:
         with pytest.raises(ParameterError):
             InterventionSpec(1.0, "quarantine", cap=3)
 
+    @pytest.mark.parametrize("action, value", [("degree_cap", {"cap": 3}),
+                                               ("thin", {"target": 0.01})])
+    def test_negative_seed_rejected(self, action, value):
+        # numpy would reject it only when the intervention fires, mid-run.
+        with pytest.raises(ParameterError, match="intervention seed must be >= 0, got -1"):
+            InterventionSpec(1.0, action, seed=-1, **value)
+        with pytest.raises(ConfigError, match="intervention seed must be >= 0"):
+            parse_intervention_block({"t": 1.0, "action": action, "seed": -1, **value})
+
     def test_dict_round_trip(self):
         spec = InterventionSpec(2.5, "degree_cap", cap=5, seed=7)
         assert parse_intervention_block(spec.to_dict()) == spec
