@@ -270,7 +270,16 @@ def init_state(g: Graph, initial_infected: int | float, seed: int) -> Compartmen
     return CompartmentState(g, labels)
 
 
-_CSV_BLOCK = 8192  # trajectory rows converted and written at a time
+_CSV_BLOCK = 8192  # CSV rows converted and written at a time
+
+
+def _write_csv(stream: IO[str], columns: Sequence[np.ndarray]) -> None:
+    """A `t,S,I,R` table of the columns (times, then S, I and R), each cell
+    its number's repr text, converted and written a block of rows at a time."""
+    stream.write("t,S,I,R\n")
+    for a in range(0, len(columns[0]), _CSV_BLOCK):  # bounded memory on long runs
+        cols = (x[a:a + _CSV_BLOCK].tolist() for x in columns)
+        stream.write("".join(f"{t!r},{s},{i},{r}\n" for t, s, i, r in zip(*cols)))
 
 
 @dataclass(frozen=True)
@@ -294,10 +303,7 @@ class Trajectory:
         return self.s[idx], self.i[idx], self.r[idx]
 
     def to_csv(self, stream: IO[str]) -> None:
-        stream.write("t,S,I,R\n")
-        for a in range(0, len(self.times), _CSV_BLOCK):  # bounded memory on long runs
-            cols = (x[a:a + _CSV_BLOCK].tolist() for x in (self.times, self.s, self.i, self.r))
-            stream.write("".join(f"{t!r},{s},{i},{r}\n" for t, s, i, r in zip(*cols)))
+        _write_csv(stream, (self.times, self.s, self.i, self.r))
 
 
 @dataclass(frozen=True)
@@ -487,6 +493,11 @@ def gillespie_run(
         raise StateError("compartment counts do not sum to the population")
     if not t_max > 0:
         raise ParameterError(f"t_max must be positive, got {t_max}")
+    # The loop's largest total rate (interventions only remove edges); an
+    # overflowed total would send the class draw to waning.
+    n = g.node_count
+    if not params.beta * g.edge_count + params.gamma * n + params.alpha * n < math.inf:
+        raise ParameterError(f"total event rate overflows: {params} on {g}")
     pending = sorted(interventions or [], key=lambda iv: iv.trigger_time)
     return _run_events((_SharedPrefix() if prefix is None else prefix).resume(
         (g, init, params, t_max, seed), pending[0].trigger_time if pending else math.inf), pending)
@@ -522,6 +533,10 @@ def gillespie_well_mixed(
     start = n - n_i, n_i, 0
     s, i, r, nf = float(n - n_i), float(n_i), 0.0, float(n)  # exact, and faster than ints
     bk, gamma, alpha = params.beta * k_avg, params.gamma, params.alpha
+    # The loop's largest rates, bk * s * i before its / nf included; an
+    # overflowed total would send every class draw to waning, R below zero.
+    if not bk * nf * nf + gamma * nf + alpha * nf < math.inf:
+        raise ParameterError(f"total event rate overflows: {params} on {n} nodes, k_avg {k_avg}")
     rng, after_t_max = np.random.default_rng(seed), math.nextafter(t_max, math.inf)
     t, times, codes = 0.0, array("d", [0.0]), bytearray()
     while t < t_max:

@@ -5,9 +5,8 @@ seeds from base_seed + i alone, so all points of a network run on the same
 graphs and initial states: common random numbers across points. Sweeps are
 therefore replicate-major: one task per (network, replicate) builds its
 graph and initial state once and runs every point on them, and each
-experiment submits all its tasks as one batch. Seeds are assigned before
-dispatch, so results do not depend on execution order. Set
-NETEPI_WORKERS > 1 to run a batch in a process pool.
+experiment runs all its tasks as one batch, one after another. Seeds are
+assigned before the batch runs, so results do not depend on task order.
 
 Points of a replicate with the same rates and some intervention (exp03's
 trigger times) also share the run itself up to their first trigger: until
@@ -22,8 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from statistics import fmean, pstdev
 from typing import IO, Optional, Sequence
@@ -39,11 +36,9 @@ from .dynamics import (
     init_state,
     summarize_trajectory,
 )
-from .errors import ConfigError, ParameterError
+from .errors import ParameterError
 from .graphs import Graph
 from .interventions import InterventionSpec
-
-WORKERS_ENV = "NETEPI_WORKERS"
 
 
 # Fields of each network-source kind, with their types, in the argument
@@ -210,7 +205,6 @@ def _one_replicate(args: dict) -> list[dict]:
     The graph (`args["graph"]`, an edge list read once per sweep, or else
     built from the replicate's seed) and initial state are built once and
     shared by all points.
-    Module-level so a process pool can pickle it.
     """
     source: NetworkSource = args["source"]
     spec: SweepSpec = args["spec"]
@@ -232,16 +226,6 @@ def _one_replicate(args: dict) -> list[dict]:
 
 
 def _run_batch(tasks: list[dict]) -> list[list[dict]]:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        workers = int(raw)
-        if workers < 1:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}") from None
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_one_replicate, tasks))
     return [_one_replicate(t) for t in tasks]
 
 
@@ -472,6 +456,8 @@ def experiment_sirs(
     del manifest["networks"]  # not JSON
     if alpha <= 0:
         raise ParameterError("experiment needs a positive waning rate")
+    if grid_points < 2:  # the long-run mean needs a grid point at or past t_max / 2
+        raise ParameterError(f"grid_points must be >= 2, got {grid_points}")
     columns = [
         "experiment", "network", "alpha", "waves",
         "long_run_mean_infected", "replicates",

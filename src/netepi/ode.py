@@ -7,12 +7,13 @@ and grids stay reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import IO, Optional
 
 import numpy as np
 
-from .dynamics import RateParams
+from .dynamics import RateParams, _write_csv
 from .errors import ParameterError
 
 DEFAULT_DT = 0.01
@@ -46,8 +47,7 @@ class OdeSolution:
         return self.fractions[idx]
 
     def to_csv(self, stream: IO[str]) -> None:
-        rows = zip(self.times.tolist(), self.fractions.tolist())
-        stream.write("t,S,I,R\n" + "".join(f"{t!r},{s!r},{i!r},{r!r}\n" for t, (s, i, r) in rows))
+        _write_csv(stream, (self.times, *self.fractions.T))
 
 
 def _integrate(init: FractionState, params: RateParams, t_max: float, dt: float) -> OdeSolution:
@@ -74,6 +74,9 @@ def _integrate(init: FractionState, params: RateParams, t_max: float, dt: float)
              i + c * (((b1 + 2.0 * b2) + 2.0 * b3) + b4),
              r + c * (((c1 + 2.0 * c2) + 2.0 * c3) + c4))
         rows.append(y)
+    # A fraction that is not finite stays so at every later step: the last row tells.
+    if not all(map(math.isfinite, y)):
+        raise ParameterError(f"RK4 solution is not finite: dt = {dt} is too large for these rates")
     return OdeSolution(times=times, fractions=np.array(rows, dtype=np.float64))
 
 

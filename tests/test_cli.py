@@ -378,10 +378,16 @@ class TestSimulate:
          "init": {"fraction": 1.5, "seed": 5}},
         {"network": {"well_mixed": {"n": 80, "k_avg": 5}}, "engine": "ode",
          "init": {"count": 81, "seed": 5}},
+        {"network": {"er": {"n": 30, "p": 0.3}}, "rates": {"beta": 1e308, "gamma": 1.0}},
+        {"network": {"well_mixed": {"n": 30, "k_avg": 10}},
+         "rates": {"beta": 1e308, "gamma": 1.0}},
+        {"network": {"well_mixed": {"n": 1000, "k_avg": 10}}, "engine": "ode",
+         "rates": {"beta": 50, "gamma": 1.0}},
     ], ids=["negative-beta", "ba-m-not-below-n", "count-above-n", "well-mixed-negative-k",
             "abm-n-zero", "abm-n-negative", "ode-n-zero", "ode-grid-too-large",
             "ode-grid-steps-infinite", "ode-count-zero", "ode-fraction-zero",
-            "ode-fraction-above-one", "ode-count-above-n"])
+            "ode-fraction-above-one", "ode-count-above-n", "network-rate-overflow",
+            "well-mixed-rate-overflow", "ode-unstable-step"])
     def test_range_error_is_bad_input(self, tmp_path, capsys, overrides):
         cfg = self.config(tmp_path, **overrides)
         out = tmp_path / "out"
@@ -644,70 +650,6 @@ class TestSweepAndExperiments:
         assert err == (f"error: initial infected fraction must be in (0, 1], "
                        f"got {float(fraction)}\n")
         assert builds == [] and not out.exists()
-
-    def test_non_integer_workers(self, tmp_path, monkeypatch, capsys):
-        spec = tmp_path / "sweep.json"
-        spec.write_text(json.dumps({
-            "networks": [{"well_mixed": {"n": 50, "k_avg": 5}}], "betas": [0.1],
-            "replicates": 1, "t_max": 1.0,
-        }))
-        monkeypatch.setenv("NETEPI_WORKERS", "x")
-        assert run_cli("sweep", str(spec), "--out-dir", str(tmp_path / "out")) == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert "NETEPI_WORKERS" in err and "Traceback" not in err
-
-    def test_process_pool_writes_the_serial_bytes(self, tmp_path, monkeypatch):
-        # NETEPI_WORKERS=2 runs the replicates in a pool of two processes:
-        # exp03's fork off shared records and reuse each replicate's capped
-        # graph, and a sweep mixes an edge-list file, a well-mixed source and
-        # an intervention. Each writes the bytes of the serial run.
-        edges = tmp_path / "ba.txt"
-        assert run_cli("generate", "--model", "ba", "--n", "150", "--m", "3", "--seed", "2",
-                       "--out", str(edges)) == EXIT_OK
-        spec = tmp_path / "sweep.json"
-        spec.write_text(json.dumps({
-            "networks": [{"edge_list": {"path": str(edges)}},
-                         {"well_mixed": {"n": 150, "k_avg": 6}}],
-            "betas": [0.2, 0.4], "replicates": 3, "t_max": 4.0,
-            "intervention": {"t": 1.0, "action": "thin", "target": 0.02, "seed": 1},
-        }))
-        runs = {"exp03": ["exp03", "--triggers", "0.5,1.0", "--n", "200", "--m", "4",
-                          "--cap", "3", "--beta", "0.5", "--t-max", "5", "--replicates", "3"],
-                "sweep": ["sweep", str(spec)]}
-        pools = []
-
-        class CountingPool(experiments.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
-        written = {}
-        for workers in (None, "2"):
-            if workers is None:
-                monkeypatch.delenv("NETEPI_WORKERS", raising=False)
-            else:
-                monkeypatch.setenv("NETEPI_WORKERS", workers)
-            for name, argv in runs.items():
-                out = tmp_path / f"{name}-{workers}"
-                assert run_cli(*argv, "--out-dir", str(out)) == EXIT_OK
-                written[name, workers] = [(out / f"{name}_{part}").read_bytes()
-                                          for part in ("table.csv", "manifest.json")]
-        assert pools == [2, 2]
-        for name in runs:
-            assert written[name, "2"] == written[name, None], name
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_workers_below_one(self, tmp_path, monkeypatch, capsys, value):
-        spec = tmp_path / "sweep.json"
-        spec.write_text(json.dumps({
-            "networks": [{"well_mixed": {"n": 50, "k_avg": 5}}], "betas": [0.1],
-            "replicates": 1, "t_max": 1.0,
-        }))
-        monkeypatch.setenv("NETEPI_WORKERS", value)
-        assert run_cli("sweep", str(spec), "--out-dir", str(tmp_path / "out")) == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert "NETEPI_WORKERS" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv, code", [
         (["exp02", "--densities", "x"], EXIT_INPUT),

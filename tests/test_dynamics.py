@@ -235,6 +235,17 @@ class TestGillespieRun:
                           prefix=prefix)
         assert prefix.run is None
 
+    def test_total_rate_overflow_rejected(self):
+        # At beta 1e308 the loop's total rate is inf: the class draw would fall
+        # through to waning and choose from an empty recovered set. At 1e306
+        # it is finite, and the run ends.
+        g = generate_er(30, 0.3, seed=1)
+        state = init_state(g, 3, seed=2)
+        with pytest.raises(ParameterError, match="overflows"):
+            gillespie_run(g, RateParams(1e308, 1.0), state, 5.0, seed=3)
+        traj = gillespie_run(g, RateParams(1e306, 1.0), state, 5.0, seed=3)
+        assert traj.i[-1] == 0 and np.all(traj.s + traj.i + traj.r == 30)
+
     def test_sirs_reinfection_possible(self):
         g = generate_er(200, 0.1, seed=7)
         state = init_state(g, 10, seed=8)
@@ -825,6 +836,13 @@ class TestGillespieWellMixed:
     def test_range_rejected(self, n, k_avg):
         with pytest.raises(ParameterError):
             gillespie_well_mixed(n, k_avg, RateParams(0.3, 1.0), 1, 5.0, seed=1)
+
+    @pytest.mark.parametrize("beta", [1e308, 1e306])
+    def test_total_rate_overflow_rejected(self, beta):
+        # beta * k_avg is inf at 1e308; at 1e306 beta * k_avg * S * I is. An
+        # infinite total sends every class draw to waning, and R goes below zero.
+        with pytest.raises(ParameterError, match="overflows"):
+            gillespie_well_mixed(30, 10.0, RateParams(beta, 1.0), 3, 5.0, seed=1)
 
     @pytest.mark.parametrize("k_avg, t_max", [
         (math.nan, 5.0), (math.inf, 5.0), (-math.inf, 5.0),

@@ -178,7 +178,6 @@ class TestInterventionTiming:
     def test_every_point_equals_a_fresh_run(self, monkeypatch):
         # The points of a replicate fork off one shared prefix; unsorted and
         # duplicate triggers on exp03's BA(3000, 20) and degree cap.
-        monkeypatch.delenv("NETEPI_WORKERS", raising=False)
         real, runs = experiments.gillespie_run, []
 
         def spy(*args, **kwargs):
@@ -231,7 +230,6 @@ class TestReplicateMajor:
         return calls
 
     def test_one_build_and_one_cap_per_replicate(self, monkeypatch):
-        monkeypatch.delenv("NETEPI_WORKERS", raising=False)  # spies see this process only
         builds = self._count_calls(monkeypatch, graphs, "generate_ba")
         caps = self._count_calls(monkeypatch, interventions, "apply_degree_cap")
         table = experiment_intervention_timing(
@@ -246,7 +244,6 @@ class TestReplicateMajor:
         # A sweep with an intervention visits each beta once: every point of
         # a replicate task runs on that task's one record, which restarts at
         # each new beta, and equals a fresh run.
-        monkeypatch.delenv("NETEPI_WORKERS", raising=False)
         real, records = experiments.gillespie_run, []
 
         def spy(*args, prefix=None, **kwargs):
@@ -272,7 +269,6 @@ class TestReplicateMajor:
         assert builds == []
 
     def test_edge_list_read_once_per_sweep(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("NETEPI_WORKERS", raising=False)
         path = tmp_path / "ba.txt"
         with open(path, "w", encoding="utf-8") as fh:
             graphs.save_edge_list(graphs.generate_ba(200, 3, seed=2), fh)
@@ -387,6 +383,14 @@ class TestExperimentSirs:
     def test_alpha_zero_rejected(self):
         with pytest.raises(ParameterError):
             experiment_sirs([NetworkSource.well_mixed(100, 10.0)], alpha=0.0)
+
+    @pytest.mark.parametrize("grid_points", [1, 0, -1])
+    def test_grid_without_a_second_point_rejected(self, grid_points):
+        # Under two points no grid time reaches t_max / 2, so the long-run
+        # mean would average nothing.
+        with pytest.raises(ParameterError, match="grid_points"):
+            experiment_sirs([NetworkSource.well_mixed(100, 10.0)], t_max=5.0, replicates=1,
+                            grid_points=grid_points)
 
     def test_sirs_outlasts_sir(self):
         table, _ = experiment_sirs(

@@ -168,7 +168,6 @@ def produce_outputs() -> dict[str, bytes]:
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     mp = pytest.MonkeyPatch()
-    mp.setenv("NETEPI_WORKERS", "1")
     mp.chdir(tmp_path_factory.mktemp("golden"))
     try:
         yield produce_outputs()

@@ -93,6 +93,23 @@ class TestOdeSir:
         with pytest.raises(ParameterError):
             ode_sir(RateParams(0.3, 0.1), FractionState(0.99, 0.01), t_max, dt)
 
+    def test_unstable_step_rejected(self):
+        # Fixed-step RK4 diverges once beta * dt passes about 4.5.
+        init = FractionState(0.99, 0.01)
+        fractions = ode_sirs(RateParams(400.0, 1.0), init, 5.0).fractions
+        assert np.all((fractions >= 0.0) & (fractions <= 1.0))
+        with pytest.raises(ParameterError, match="dt = 0.01"):
+            ode_sirs(RateParams(500.0, 1.0), init, 5.0)
+
+    def test_csv_blocks_join_to_one_string(self):
+        sol = ode_sirs(RateParams(0.3, 0.1, 0.05), FractionState(0.99, 0.01), 99.99, dt=0.01)
+        assert len(sol.times) == 10_000  # past one block of rows
+        rows = zip(sol.times.tolist(), sol.fractions.tolist())
+        expected = "t,S,I,R\n" + "".join(f"{t!r},{s!r},{i!r},{r!r}\n" for t, (s, i, r) in rows)
+        buf = io.StringIO()
+        sol.to_csv(buf)
+        assert buf.getvalue() == expected
+
     def test_csv_format(self):
         sol = ode_sir(RateParams(0.0, 1.0), FractionState(0.9, 0.1), 0.02, dt=0.01)
         buf = io.StringIO()
