@@ -167,6 +167,8 @@ def parse_config(text: str) -> RunConfig:
 
     output = _read(doc["output"], {"trajectory": (str, None), "summary": (str, None)}, "output")
     output = {key: path for key, path in output.items() if path}
+    if engine == "ode" and "summary" in output:
+        raise ConfigError("output.summary: the ode engine writes no summary")
     t_max, dt = _positive(doc["t_max"], "t_max"), _positive(doc["dt"], "dt")
     if engine == "abm" and rates["gamma"] > 1.0:  # the ABM's per-step recovery probability
         raise ConfigError(

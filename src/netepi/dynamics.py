@@ -25,7 +25,7 @@ from typing import IO, Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError, ProbabilityOverflowError, StateError
-from .graphs import Graph
+from .graphs import Graph, _check_array
 from .interventions import InterventionSpec
 
 S, I, R = 0, 1, 2  # compartment labels
@@ -593,6 +593,7 @@ def abm_run(
         raise ParameterError(f"steps must be >= 0, got {steps}")
     if params.gamma > 1.0:
         raise ProbabilityOverflowError(f"gamma = {params.gamma} is not a probability")
+    _check_array(n, "the agents' per-step draws")  # rng.random(n), before any allocation
     n_init = resolve_infected_count(n, initial_infected)
     rng = np.random.default_rng(seed)
     labels = np.full(n, S, dtype=np.int8)

@@ -36,7 +36,7 @@ class StateError(NetEpiError, ValueError):
     """A compartment state is inconsistent with the graph it runs on."""
 
 
-class ProbabilityOverflowError(NetEpiError, ValueError):
+class ProbabilityOverflowError(ParameterError):
     """A per-step transition probability left [0, 1]."""
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from statistics import fmean, pstdev
 from typing import IO, Optional, Sequence
 
@@ -229,43 +229,41 @@ def _run_batch(tasks: list[dict]) -> list[list[dict]]:
     return [_one_replicate(t) for t in tasks]
 
 
-def _point(spec: SweepSpec, beta: float, grid: Optional[np.ndarray] = None) -> dict:
-    """One sweep point: its rates and intervention, and what to observe;
-    with a time grid, each replicate also returns its infected curve on it."""
-    return {
-        "params": RateParams(beta, spec.gamma, spec.alpha),
-        "interventions": [spec.intervention] if spec.intervention else None,
-        "measure_from": spec.measure_from,
-        "grid": grid,
-    }
+def _point(row: dict, params: RateParams, intervention: Optional[InterventionSpec] = None,
+           measure_from: Optional[float] = None, grid: Optional[np.ndarray] = None) -> dict:
+    """One sweep point: the labels its table row starts with, its rates and
+    intervention, and what to observe; with a time grid, each replicate also
+    returns its infected curve on it."""
+    return {"row": row, "params": params, "measure_from": measure_from, "grid": grid,
+            "interventions": [intervention] if intervention else None}
 
 
 def _sweep(spec: SweepSpec, plan: Sequence[tuple[NetworkSource, list[dict]]]) -> list[dict]:
     """Run every (source, points) of `plan` as one batch, one task per replicate.
 
     `spec` supplies what all points share: replicates, base seed, initial
-    fraction and t_max. Returns one summary per point, in plan order: the
-    replicate count, then `mean_<k>` and `std_<k>` (population) over the
-    replicates, in order, of every number `_observe` returned for it, and
-    `mean_i_curve` if the point has a grid.
+    fraction and t_max. Returns one row per point, in plan order: the
+    point's row labels, the replicate count, then `mean_<k>` and `std_<k>`
+    (population) over the replicates, in order, of every number `_observe`
+    returned for it, and `mean_i_curve` if the point has a grid.
     """
     plan = [(source, points) for source, points in plan if points]
     # An edge list is the same graph for every replicate: read it once.
     loaded = [source.build_graph(0) if source.kind == "edge_list" else None for source, _ in plan]
     tasks = [{"spec": spec, "source": source, "graph": graph, "index": i, "points": points}
              for (source, points), graph in zip(plan, loaded) for i in range(spec.replicates)]
-    results, summaries = _run_batch(tasks), []
-    for at in range(0, len(tasks), spec.replicates):  # one source's replicates
-        for observed in zip(*results[at:at + spec.replicates]):  # one point, replicate by replicate
-            summary: dict = {"replicates": spec.replicates}
-            for key in observed[0]:
+    results, rows = _run_batch(tasks), []
+    for at, (_, points) in zip(range(0, len(tasks), spec.replicates), plan):  # one source
+        for point, observed in zip(points, zip(*results[at:at + spec.replicates])):
+            row = {**point["row"], "replicates": spec.replicates}
+            for key in observed[0]:  # each number, replicate by replicate
                 values = [r[key] for r in observed]
                 if key == "i_curve":
-                    summary["mean_i_curve"] = np.mean(values, axis=0)
+                    row["mean_i_curve"] = np.mean(values, axis=0)
                 else:
-                    summary[f"mean_{key}"], summary[f"std_{key}"] = fmean(values), pstdev(values)
-            summaries.append(summary)
-    return summaries
+                    row[f"mean_{key}"], row[f"std_{key}"] = fmean(values), pstdev(values)
+            rows.append(row)
+    return rows
 
 
 SCOPE_COLUMNS = [
@@ -277,15 +275,13 @@ SCOPE_COLUMNS = [
 
 def experiment_scope_sweep(spec: SweepSpec, experiment_id: str = "exp01") -> ExperimentTable:
     """Final-epidemic-scope sweep over the infection-rate grid (threshold scan)."""
-    table = ExperimentTable(experiment_id, SCOPE_COLUMNS, manifest={"spec": spec.to_dict()})
-    plan = [(source, [_point(spec, beta) for beta in spec.betas]) for source in spec.networks]
-    summaries = iter(_sweep(spec, plan))
-    for source in spec.networks:
-        for beta in spec.betas:
-            table.rows.append({"network": source.label, "beta": beta, **next(summaries),
-                               "experiment": experiment_id, "gamma": spec.gamma,
-                               "alpha": spec.alpha})
-    return table
+    plan = [(source, [_point({"experiment": experiment_id, "network": source.label, "beta": beta,
+                              "gamma": spec.gamma, "alpha": spec.alpha},
+                             RateParams(beta, spec.gamma, spec.alpha), spec.intervention,
+                             spec.measure_from) for beta in spec.betas])
+            for source in spec.networks]
+    return ExperimentTable(experiment_id, SCOPE_COLUMNS, _sweep(spec, plan),
+                           {"spec": spec.to_dict()})
 
 
 def experiment_density_comparison(
@@ -308,26 +304,23 @@ def experiment_density_comparison(
         "experiment", "model", "density", "n", "avg_degree",
         "mean_peak", "std_peak", "mean_scope", "std_scope", "replicates",
     ]
-    table = ExperimentTable("exp02", columns, manifest=manifest)
     m = max(1, round(k_avg / 2.0))
-    networks = []  # ER then BA at each density
+    plan = []  # ER then BA at each density
     for d in densities:
         n = round(k_avg / d) + 1
         if n < 2:
             raise ParameterError(f"<k> = {k_avg} at density {d} leaves fewer than 2 nodes")
-        networks += [NetworkSource.er(n, k_avg / (n - 1), label="ER"),
-                     NetworkSource.ba(n, m, label="BA")]
+        for source in (NetworkSource.er(n, k_avg / (n - 1), label="ER"),
+                       NetworkSource.ba(n, m, label="BA")):
+            row = {"experiment": "exp02", "network": source.label, "beta": beta,
+                   "model": source.label, "density": d, "n": n, "avg_degree": k_avg}
+            plan.append((source, [_point(row, RateParams(beta, gamma))]))
     spec = SweepSpec(
-        networks=networks, betas=[beta], gamma=gamma, initial_fraction=initial_fraction,
-        t_max=t_max, replicates=replicates, base_seed=base_seed,
+        networks=[source for source, _ in plan], betas=[beta], gamma=gamma,
+        initial_fraction=initial_fraction, t_max=t_max, replicates=replicates,
+        base_seed=base_seed,
     )
-    point = _point(spec, beta)
-    summaries = _sweep(spec, [(source, [point]) for source in networks])
-    for i, (source, summary) in enumerate(zip(networks, summaries)):
-        table.rows.append({"network": source.label, "beta": beta, **summary,
-                           "experiment": "exp02", "model": source.label,
-                           "density": densities[i // 2], "n": source.n, "avg_degree": k_avg})
-    return table
+    return ExperimentTable("exp02", columns, _sweep(spec, plan), manifest)
 
 
 def experiment_intervention_timing(
@@ -356,25 +349,23 @@ def experiment_intervention_timing(
         "mean_windowed_peak", "std_windowed_peak",
         "mean_peak", "std_peak", "mean_scope", "std_scope", "replicates",
     ]
-    table = ExperimentTable("exp03", columns, manifest=manifest)
-    for trigger in trigger_times:
-        if not 0 < trigger < t_max:
-            raise ParameterError(f"trigger time {trigger} outside (0, {t_max})")
     source = NetworkSource.ba(n, m)
-    base = SweepSpec(
+    points = []
+    for t in trigger_times:
+        if not 0 < t < t_max:
+            raise ParameterError(f"trigger time {t} outside (0, {t_max})")
+        start = t + 0.33 * (t_max - t)
+        row = {"experiment": "exp03", "network": source.label, "beta": beta,
+               "trigger_time": t, "window_start": start}
+        # Every trigger applies the same cap with the same seed, so each
+        # replicate's capped graph is computed once (InterventionSpec.apply).
+        points.append(_point(row, RateParams(beta, gamma),
+                             InterventionSpec(t, "degree_cap", cap=cap, seed=base_seed), start))
+    spec = SweepSpec(
         networks=[source], betas=[beta], gamma=gamma, initial_fraction=initial_fraction,
         t_max=t_max, replicates=replicates, base_seed=base_seed,
     )
-    # Every trigger applies the same cap with the same seed, so each
-    # replicate's capped graph is computed once (InterventionSpec.apply).
-    specs = [replace(base, intervention=InterventionSpec(t, "degree_cap", cap=cap, seed=base_seed),
-                     measure_from=t + 0.33 * (t_max - t)) for t in trigger_times]
-    summaries = _sweep(base, [(source, [_point(spec, beta) for spec in specs])])
-    for trigger, spec, summary in zip(trigger_times, specs, summaries):
-        table.rows.append({"network": source.label, "beta": beta, **summary,
-                           "experiment": "exp03", "trigger_time": trigger,
-                           "window_start": spec.measure_from})
-    return table
+    return ExperimentTable("exp03", columns, _sweep(spec, [(source, points)]), manifest)
 
 
 WAVE_MIN_HEIGHT = 0.01
@@ -462,25 +453,20 @@ def experiment_sirs(
         "experiment", "network", "alpha", "waves",
         "long_run_mean_infected", "replicates",
     ]
-    table = ExperimentTable("exp04", columns, manifest=manifest)
     grid = np.linspace(0.0, t_max, grid_points)
     spec = SweepSpec(networks=networks, betas=[beta], gamma=gamma,
                      initial_fraction=initial_fraction, t_max=t_max, replicates=replicates,
                      base_seed=base_seed)
-    points = [_point(replace(spec, alpha=a), beta, grid) for a in (alpha, 0.0)]
-    summaries = iter(_sweep(spec, [(source, points) for source in networks]))
-    curves: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for source in networks:
-        for a in (alpha, 0.0):
-            mean_curve = next(summaries)["mean_i_curve"]
-            waves = count_waves(grid, mean_curve, smooth_window=t_max / 100.0)
-            label = source.label if a > 0 else f"{source.label}[sir-control]"
-            tail = mean_curve[grid >= t_max / 2.0]
-            table.rows.append({
-                "experiment": "exp04", "network": label, "alpha": a,
-                "waves": waves,
-                "long_run_mean_infected": float(np.mean(tail)),
-                "replicates": replicates,
-            })
-            curves[label] = (grid, mean_curve)
-    return table, curves
+    plan = [(source, [_point({"experiment": "exp04", "network": label, "alpha": a},
+                             RateParams(beta, gamma, a), grid=grid)
+                      for label, a in ((source.label, alpha),
+                                       (f"{source.label}[sir-control]", 0.0))])
+            for source in networks]
+    rows, curves = [], {}
+    for row in _sweep(spec, plan):
+        curve = row["mean_i_curve"]
+        row.update(waves=count_waves(grid, curve, smooth_window=t_max / 100.0),
+                   long_run_mean_infected=float(np.mean(curve[grid >= t_max / 2.0])))
+        rows.append({column: row[column] for column in columns})
+        curves[row["network"]] = (grid, curve)
+    return ExperimentTable("exp04", columns, rows, manifest), curves

@@ -131,9 +131,10 @@ class Graph:
 
 
 def _check_array(count: int, what: str) -> None:
-    """numpy's bound on one array, as in `ode._integrate`: its bytes fit in an intp."""
+    """numpy's bound on one array of 8-byte values, as in `ode._integrate`: its
+    bytes fit in an intp."""
     if count * 8 > np.iinfo(np.intp).max:
-        raise ParameterError(f"{what} ({count} int64 values) do not fit in one array")
+        raise ParameterError(f"{what} ({count} 8-byte values) do not fit in one array")
 
 
 def _check_nodes(n: int) -> None:

@@ -383,11 +383,15 @@ class TestSimulate:
          "rates": {"beta": 1e308, "gamma": 1.0}},
         {"network": {"well_mixed": {"n": 1000, "k_avg": 10}}, "engine": "ode",
          "rates": {"beta": 50, "gamma": 1.0}},
+        {"network": {"well_mixed": {"n": 100, "k_avg": 4}}, "engine": "abm",
+         "rates": {"beta": 2.0, "gamma": 0.1}, "init": {"fraction": 0.6, "seed": 1}},
+        {"network": {"well_mixed": {"n": 10**20, "k_avg": 4}}, "engine": "abm"},
     ], ids=["negative-beta", "ba-m-not-below-n", "count-above-n", "well-mixed-negative-k",
             "abm-n-zero", "abm-n-negative", "ode-n-zero", "ode-grid-too-large",
             "ode-grid-steps-infinite", "ode-count-zero", "ode-fraction-zero",
             "ode-fraction-above-one", "ode-count-above-n", "network-rate-overflow",
-            "well-mixed-rate-overflow", "ode-unstable-step"])
+            "well-mixed-rate-overflow", "ode-unstable-step", "abm-probability-overflow",
+            "abm-population-too-large"])
     def test_range_error_is_bad_input(self, tmp_path, capsys, overrides):
         cfg = self.config(tmp_path, **overrides)
         out = tmp_path / "out"
@@ -447,6 +451,8 @@ def _leaf_paths(node, path=()):
 
 
 def _with(doc, path, value):
+    if not path:  # the whole document
+        return copy.deepcopy(value)
     doc = copy.deepcopy(doc)
     node = doc
     for key in path[:-1]:
@@ -507,6 +513,9 @@ class TestBadConfigValues:
         (("interventions", 0, "seed"), -1),
         (("interventions", 0), {"t": 1.0, "action": "thin", "target": 0.01, "seed": -1}),
         (("network",), {"well_mixed": {"n": 40, "k_avg": 4}}),  # no graph to intervene on
+        pytest.param((), {**VALID_CONFIG, "network": {"well_mixed": {"n": 40, "k_avg": 4}},
+                          "engine": "ode", "interventions": []},  # ode writes no summary
+                     id="ode-with-summary"),
     ])
     def test_fails_at_parse_time(self, path, value):
         code, err = _simulate(_with(VALID_CONFIG, path, value))

@@ -871,6 +871,11 @@ class TestAbmRun:
         with pytest.raises(ProbabilityOverflowError):
             abm_run(100, RateParams(0.1, 1.5), 10, steps=5, seed=0)
 
+    def test_population_past_one_array_rejected_before_allocating(self):
+        # np.full(10**20, ...) would raise numpy's bare ValueError instead.
+        with pytest.raises(ParameterError, match="do not fit in one array"):
+            abm_run(10**20, RateParams(0.1, 0.5), 1, steps=5, seed=0)
+
     @pytest.mark.parametrize("n", [0, -3])
     def test_empty_population_rejected(self, n):
         with pytest.raises(ParameterError):
