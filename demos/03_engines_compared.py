@@ -1,18 +1,16 @@
-"""Compare the three engines on one well-mixed scenario.
+"""Compare the two engines on one well-mixed scenario.
 
 Run: python3 demos/03_engines_compared.py
 
-The exact stochastic engine (averaged over replicates), the
-deterministic ODE, and the discrete-time agent-based model describe the
-same epidemic at different levels of idealization. The stochastic mean
-hugs the ODE; the unit-step agent-based model tracks it more loosely
-because a whole day of transitions is batched into one synchronous
-update.
+The exact stochastic engine (averaged over replicates) and the
+deterministic ODE describe the same epidemic at two levels of
+idealization: the ODE is the stochastic engine's limit of a large
+population, so the stochastic mean hugs it.
 """
 
 import numpy as np
 
-from netepi.dynamics import RateParams, abm_run, gillespie_well_mixed
+from netepi.dynamics import RateParams, gillespie_well_mixed
 from netepi.ode import FractionState, ode_sir
 
 N, K_AVG, BETA, GAMMA = 5000, 10.0, 0.2, 1.0
@@ -31,17 +29,9 @@ gillespie_mean = acc / REPS
 sol = ode_sir(RateParams(BETA * K_AVG, GAMMA), FractionState(0.99, 0.01), T_MAX)
 ode_i = np.array([sol.at_time(t)[1] for t in grid])
 
-# agent-based model: one step per time unit, gamma is a per-step probability
-acc = np.zeros(len(grid))
-for seed in range(REPS):
-    traj = abm_run(N, RateParams(BETA * K_AVG, GAMMA), 0.01, int(T_MAX), seed)
-    acc += traj.counts_at(grid)[1] / N
-abm_mean = acc / REPS
-
-print(f"{'t':>5}  {'gillespie':>10}  {'ode':>10}  {'abm':>10}")
-for t, a, b, c in zip(grid, gillespie_mean, ode_i, abm_mean):
-    print(f"{t:5.1f}  {a:10.4f}  {b:10.4f}  {c:10.4f}")
+print(f"{'t':>5}  {'gillespie':>10}  {'ode':>10}")
+for t, a, b in zip(grid, gillespie_mean, ode_i):
+    print(f"{t:5.1f}  {a:10.4f}  {b:10.4f}")
 
 print()
 print(f"max |gillespie - ode| : {np.max(np.abs(gillespie_mean - ode_i)):.4f}")
-print(f"max |abm - ode|       : {np.max(np.abs(abm_mean - ode_i)):.4f}")

@@ -2,7 +2,7 @@
 
 Builds and measures contact graphs, runs exact Gillespie SIR/SIRS
 dynamics on them (with mid-run contact-reduction interventions), and
-compares against deterministic ODE and discrete agent-based baselines.
+compares against a deterministic ODE baseline.
 """
 
 __version__ = "0.1.0"
@@ -11,7 +11,6 @@ from .dynamics import (
     RateParams,
     Trajectory,
     TrajectorySummary,
-    abm_run,
     gillespie_run,
     gillespie_well_mixed,
     init_state,
@@ -42,7 +41,6 @@ __all__ = [
     "RateParams",
     "Trajectory",
     "TrajectorySummary",
-    "abm_run",
     "apply_degree_cap",
     "classify_scale_free",
     "degree_stats",

@@ -22,7 +22,6 @@ from . import __version__, graphs
 from .config import parse_config, parse_sweep_config
 from .dynamics import (
     RateParams,
-    abm_run,
     gillespie_run,
     gillespie_well_mixed,
     init_state,
@@ -210,10 +209,7 @@ def _run_config(cfg):
         eff = RateParams(params.beta * cfg.network.k_avg, params.gamma, params.alpha)
         sol = ode_sirs(eff, FractionState(1.0 - frac, frac), cfg.t_max, cfg.dt)
         return sol, None
-    if cfg.engine == "abm":
-        steps = math.floor(cfg.t_max)  # one step per unit of time, none past t_max
-        traj = abm_run(cfg.network.n, params, initial, steps, run_seed)
-    elif cfg.network.kind == "well_mixed":
+    if cfg.network.kind == "well_mixed":
         traj = gillespie_well_mixed(
             cfg.network.n, cfg.network.k_avg, params, initial, cfg.t_max, run_seed
         )

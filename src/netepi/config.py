@@ -19,7 +19,7 @@ from .experiments import NETWORK_FIELDS, NetworkSource, SweepSpec
 from .interventions import InterventionSpec
 from .ode import DEFAULT_DT
 
-ENGINES = ("gillespie", "abm", "ode")
+ENGINES = ("gillespie", "ode")
 
 _JSON_TYPES = {str: "a string", bool: "a boolean", dict: "an object", list: "an array"}
 _REQUIRED = object()
@@ -157,7 +157,7 @@ def parse_config(text: str) -> RunConfig:
     engine = doc["engine"]
     if engine not in ENGINES:
         raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if engine in ("abm", "ode") and network.kind != "well_mixed":
+    if engine == "ode" and network.kind != "well_mixed":
         raise ConfigError(f"engine {engine!r} requires a well_mixed network block")
 
     interventions = tuple(parse_intervention_block(d, f"interventions[{i}]")
@@ -170,9 +170,6 @@ def parse_config(text: str) -> RunConfig:
     if engine == "ode" and "summary" in output:
         raise ConfigError("output.summary: the ode engine writes no summary")
     t_max, dt = _positive(doc["t_max"], "t_max"), _positive(doc["dt"], "dt")
-    if engine == "abm" and rates["gamma"] > 1.0:  # the ABM's per-step recovery probability
-        raise ConfigError(
-            f"rates.gamma must be at most 1 under the abm engine, got {rates['gamma']}")
     return RunConfig(network=network, rates=RateParams(**rates), init=init, t_max=t_max,
                      engine=engine, dt=dt, interventions=interventions, output=output)
 

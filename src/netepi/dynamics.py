@@ -1,12 +1,11 @@
 """Stochastic epidemic engines.
 
-Three engines share the Trajectory record:
+Two engines share the Trajectory record:
 
 * exact Gillespie simulation of SIR/SIRS on a contact network
   (`_run_events`),
 * exact Gillespie simulation on a well-mixed population, counts only, run
-  as its jump chain with the clock computed a block of events at a time,
-* a discrete-time, synchronous agent-based SIR.
+  as its jump chain with the clock computed a block of events at a time.
 
 A waning-immunity rate of zero turns SIRS into plain SIR everywhere.
 """
@@ -24,8 +23,8 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ProbabilityOverflowError, StateError
-from .graphs import Graph, _check_array
+from .errors import ParameterError, StateError
+from .graphs import Graph
 from .interventions import InterventionSpec
 
 S, I, R = 0, 1, 2  # compartment labels
@@ -73,8 +72,9 @@ class _IndexedSet:
 
 class _ReplayedDraws:
     """`random()` and `integers(h)` of a PCG64 `np.random.Generator`, replayed
-    in plain Python on its raw 64-bit words (drawn 8192 at a time): the same
-    values in the same order, without a numpy call per draw.
+    in plain Python on its raw 64-bit words (drawn 64 at first, then in
+    blocks doubling up to 8192): the same values in the same order, without
+    a numpy call per draw, and few words drawn ahead of a short run.
 
     random() takes one whole word w and returns (w >> 11) * 2**-53.
     integers(h) takes the buffered high 32 bits of a word if there are any,
@@ -101,11 +101,13 @@ class _ReplayedDraws:
         block = [read, [], iter(())]
 
         def blocks():
+            size = 64
             while True:
                 yield block[2]
                 block[0] += len(block[1])
-                block[1] = bit_generator.random_raw(8192).tolist()
+                block[1] = bit_generator.random_raw(size).tolist()
                 block[2] = iter(block[1])
+                size = min(2 * size, 8192)
 
         self._block, self._high = block, high
         self._word = chain.from_iterable(blocks()).__next__
@@ -573,44 +575,3 @@ def gillespie_well_mixed(
         t = clock[-1]
     return _trajectory(np.frombuffer(times), codes, start, n, "well-mixed-gillespie", seed)
 
-
-def abm_run(
-    n: int,
-    params: RateParams,
-    initial_infected: int | float,
-    steps: int,
-    seed: int,
-) -> Trajectory:
-    """Discrete-time, synchronous agent-based SIR.
-
-    Per step every susceptible agent becomes infected with Bernoulli
-    probability beta * I(t) / n and every infected agent recovers with
-    probability gamma; I(t) is read before any update is applied.
-    """
-    if n < 1:
-        raise ParameterError(f"population must be positive, got {n}")
-    if steps < 0:
-        raise ParameterError(f"steps must be >= 0, got {steps}")
-    if params.gamma > 1.0:
-        raise ProbabilityOverflowError(f"gamma = {params.gamma} is not a probability")
-    _check_array(n, "the agents' per-step draws")  # rng.random(n), before any allocation
-    n_init = resolve_infected_count(n, initial_infected)
-    rng = np.random.default_rng(seed)
-    labels = np.full(n, S, dtype=np.int8)
-    labels[rng.choice(n, size=n_init, replace=False)] = I
-
-    rows = [np.bincount(labels, minlength=3)]
-    for step in range(1, steps + 1):
-        p_infect = params.beta * int(rows[-1][I]) / n
-        if p_infect > 1.0:
-            raise ProbabilityOverflowError(
-                f"beta * I / N = {p_infect} exceeds 1 at step {step}"
-            )
-        susceptible = labels == S
-        infected = labels == I
-        draws = rng.random(n)
-        labels[susceptible & (draws < p_infect)] = I
-        labels[infected & (draws < params.gamma)] = R
-        rows.append(np.bincount(labels, minlength=3))
-    s, i, r = np.stack(rows, axis=1).astype(np.int64)
-    return Trajectory(np.arange(steps + 1, dtype=np.float64), s, i, r, n, "abm", seed)

@@ -36,9 +36,5 @@ class StateError(NetEpiError, ValueError):
     """A compartment state is inconsistent with the graph it runs on."""
 
 
-class ProbabilityOverflowError(ParameterError):
-    """A per-step transition probability left [0, 1]."""
-
-
 class ConfigError(NetEpiError, ValueError):
     """A run configuration document is invalid."""

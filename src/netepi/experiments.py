@@ -131,6 +131,8 @@ class SweepSpec:
             raise ParameterError("replicates must be >= 1")
         if self.base_seed < 0:
             raise ParameterError(f"base_seed must be >= 0, got {self.base_seed}")
+        if not self.networks:
+            raise ParameterError("networks must be non-empty")
         if not self.betas:
             raise ParameterError("beta grid must be non-empty")
         if any(b < 0 for b in self.betas):

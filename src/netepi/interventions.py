@@ -93,7 +93,7 @@ def _transform(g: Graph, action: str, cap: Optional[int], target: Optional[float
 class InterventionSpec:
     """A scheduled contact-reduction measure.
 
-    action is "degree_cap" (with `cap`) or "thin" (with `target`).
+    action is "degree_cap" (with `cap` only) or "thin" (with `target` only).
     """
 
     trigger_time: float
@@ -108,9 +108,13 @@ class InterventionSpec:
         if self.action == "degree_cap":
             if self.cap is None or self.cap < 0:
                 raise ParameterError("degree_cap needs a cap >= 0")
+            if self.target is not None:  # never read: reject it, not ignore it
+                raise ParameterError("degree_cap takes a cap, not a target")
         elif self.action == "thin":
             if self.target is None or not 0.0 <= self.target <= 1.0:
                 raise ParameterError("thin needs a target density in [0, 1]")
+            if self.cap is not None:
+                raise ParameterError("thin takes a target, not a cap")
         else:
             raise ParameterError(f"unknown intervention action {self.action!r}")
         if self.seed < 0:

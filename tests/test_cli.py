@@ -293,37 +293,6 @@ class TestSimulate:
         assert len(lines) == 1 + 501  # header + t in steps of dt=0.01 up to 5.0
         assert not (out / "summary.json").exists()
 
-    def test_abm_engine(self, tmp_path):
-        cfg = self.config(
-            tmp_path,
-            network={"well_mixed": {"n": 500, "k_avg": 10}},
-            engine="abm",
-            rates={"beta": 0.3, "gamma": 0.5},
-        )
-        out = tmp_path / "abm"
-        assert run_cli("simulate", str(cfg), "--out-dir", str(out)) == EXIT_OK
-        lines = (out / "trajectory.csv").read_text().splitlines()
-        assert len(lines) == 1 + 6  # header + steps 0..5
-
-    def test_abm_stops_at_t_max(self, tmp_path):
-        cfg = self.config(tmp_path, network={"well_mixed": {"n": 500, "k_avg": 10}},
-                          engine="abm", rates={"beta": 0.3, "gamma": 0.5}, t_max=10.6)
-        out = tmp_path / "abm"
-        assert run_cli("simulate", str(cfg), "--out-dir", str(out)) == EXIT_OK
-        with open(out / "trajectory.csv", newline="") as fh:
-            times = [float(row["t"]) for row in csv.DictReader(fh)]
-        assert times == [float(t) for t in range(11)]  # one row per step, the last at t = 10
-
-    def test_abm_gamma_above_one_is_bad_input(self, tmp_path, capsys):
-        # The ABM reads gamma as a per-step probability.
-        cfg = self.config(tmp_path, network={"well_mixed": {"n": 500, "k_avg": 10}},
-                          engine="abm", rates={"beta": 0.3, "gamma": 1.5})
-        out = tmp_path / "abm"
-        assert run_cli("simulate", str(cfg), "--out-dir", str(out)) == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert err.startswith("error: rates.gamma") and err.count("\n") == 1
-        assert not out.exists()
-
     def test_thin_after_degree_cap_runs(self, tmp_path):
         # The cap leaves BA(500, 6) below the thin's target density; the thin
         # is then a no-op, not a runtime failure.
@@ -363,8 +332,8 @@ class TestSimulate:
         {"network": {"ba": {"n": 5, "m": 10}}},
         {"network": {"er": {"n": 50, "p": 0.1}}, "init": {"count": 80, "seed": 5}},
         {"network": {"well_mixed": {"n": 1000, "k_avg": -5}}},
-        {"network": {"well_mixed": {"n": 0, "k_avg": 10}}, "engine": "abm"},
-        {"network": {"well_mixed": {"n": -3, "k_avg": 10}}, "engine": "abm"},
+        {"network": {"well_mixed": {"n": 0, "k_avg": 10}}},
+        {"network": {"well_mixed": {"n": -3, "k_avg": 10}}},
         {"network": {"well_mixed": {"n": 0, "k_avg": 10}}, "engine": "ode",
          "init": {"count": 1, "seed": 5}},
         {"network": {"well_mixed": {"n": 1000, "k_avg": 10}}, "engine": "ode", "dt": 1e-300},
@@ -383,15 +352,12 @@ class TestSimulate:
          "rates": {"beta": 1e308, "gamma": 1.0}},
         {"network": {"well_mixed": {"n": 1000, "k_avg": 10}}, "engine": "ode",
          "rates": {"beta": 50, "gamma": 1.0}},
-        {"network": {"well_mixed": {"n": 100, "k_avg": 4}}, "engine": "abm",
-         "rates": {"beta": 2.0, "gamma": 0.1}, "init": {"fraction": 0.6, "seed": 1}},
-        {"network": {"well_mixed": {"n": 10**20, "k_avg": 4}}, "engine": "abm"},
+        {"network": {"well_mixed": {"n": 500, "k_avg": 10}}, "engine": "abm"},
     ], ids=["negative-beta", "ba-m-not-below-n", "count-above-n", "well-mixed-negative-k",
-            "abm-n-zero", "abm-n-negative", "ode-n-zero", "ode-grid-too-large",
+            "well-mixed-n-zero", "well-mixed-n-negative", "ode-n-zero", "ode-grid-too-large",
             "ode-grid-steps-infinite", "ode-count-zero", "ode-fraction-zero",
             "ode-fraction-above-one", "ode-count-above-n", "network-rate-overflow",
-            "well-mixed-rate-overflow", "ode-unstable-step", "abm-probability-overflow",
-            "abm-population-too-large"])
+            "well-mixed-rate-overflow", "ode-unstable-step", "abm-engine"])
     def test_range_error_is_bad_input(self, tmp_path, capsys, overrides):
         cfg = self.config(tmp_path, **overrides)
         out = tmp_path / "out"
@@ -513,6 +479,9 @@ class TestBadConfigValues:
         (("interventions", 0, "seed"), -1),
         (("interventions", 0), {"t": 1.0, "action": "thin", "target": 0.01, "seed": -1}),
         (("network",), {"well_mixed": {"n": 40, "k_avg": 4}}),  # no graph to intervene on
+        # A field its action does not read.
+        (("interventions",), [{"t": 1.0, "action": "thin", "target": 0.05, "cap": 3},
+                              {"t": 1.5, "action": "degree_cap", "cap": 2, "target": 0.9}]),
         pytest.param((), {**VALID_CONFIG, "network": {"well_mixed": {"n": 40, "k_avg": 4}},
                           "engine": "ode", "interventions": []},  # ode writes no summary
                      id="ode-with-summary"),
@@ -542,6 +511,7 @@ class TestBadConfigValues:
         ("replicates", 1.9), ("replicates", True), ("base_seed", 2.9), ("t_max", "5"),
         ("betas", [True]), ("betas", ["0.5"]), ("base_seed", -1),
         ("intervention", {"t": 0.5, "action": "degree_cap", "cap": 2, "seed": -1}),
+        ("networks", []),
     ])
     def test_bad_sweep_value(self, tmp_path, capsys, key, value):
         doc = {"networks": [{"well_mixed": {"n": 50, "k_avg": 5}}], "betas": [0.1],
@@ -574,7 +544,6 @@ FUZZ_SIMULATE = {
     "ba": _fuzz_config({"ba": {"n": 30, "m": 2}}),
     "edge-list": _fuzz_config({"edge_list": {"path": "set by the test"}}),
     "well-mixed": _fuzz_config({"well_mixed": {"n": 30, "k_avg": 4}}),
-    "abm": _fuzz_config({"well_mixed": {"n": 30, "k_avg": 4}}, engine="abm"),
     "ode": _fuzz_config({"well_mixed": {"n": 30, "k_avg": 4}}, engine="ode", dt=0.05),
 }
 FUZZ_SWEEP = {

@@ -118,16 +118,21 @@ class TestParseConfig:
             parse_config("{not json")
 
     def test_unknown_engine(self):
-        with pytest.raises(ConfigError):
-            parse_config(minimal(engine="euler"))
+        # "abm" names a discrete-time agent-based model, which has no contact structure.
+        well_mixed = {"well_mixed": {"n": 100, "k_avg": 10}}
+        for engine in ("euler", "abm"):
+            message = f"engine must be one of ('gillespie', 'ode'), got '{engine}'"
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                parse_config(minimal(engine=engine, network=well_mixed))
 
-    def test_abm_requires_well_mixed(self):
-        with pytest.raises(ConfigError):
-            parse_config(minimal(engine="abm"))
+    def test_ode_requires_well_mixed(self):
+        # On a graph, k_avg would be 0 and the ODE would never leave its start.
+        with pytest.raises(ConfigError, match="requires a well_mixed"):
+            parse_config(minimal(engine="ode"))
         cfg = parse_config(
-            minimal(engine="abm", network={"well_mixed": {"n": 100, "k_avg": 10}})
+            minimal(engine="ode", network={"well_mixed": {"n": 100, "k_avg": 10}})
         )
-        assert cfg.engine == "abm"
+        assert cfg.engine == "ode"
 
     def test_interventions_gillespie_only(self):
         iv = [{"t": 1.0, "action": "degree_cap", "cap": 3}]
@@ -146,7 +151,7 @@ class TestParseConfig:
             parse_config(minimal(network={"well_mixed": {"n": 100, "k_avg": 10}},
                                  interventions=iv))
 
-    @pytest.mark.parametrize("engine", ["gillespie", "abm", "ode"])
+    @pytest.mark.parametrize("engine", ["gillespie", "ode"])
     @pytest.mark.parametrize("init, message", [
         ({"count": 0}, "count must be in 1..100, got 0"),
         ({"count": 101}, "count must be in 1..100, got 101"),
@@ -264,11 +269,9 @@ class TestOneReader:
     @pytest.mark.parametrize("overrides", [
         {},
         {"init": {"count": 3, "seed": 0}, "interventions": [], "output": {"summary": "s.json"}},
-        {"engine": "abm", "network": {"well_mixed": {"n": 50, "k_avg": 4.0}},
-         "interventions": [], "rates": {"beta": 0.3, "gamma": 0.5}},
         {"engine": "ode", "network": {"well_mixed": {"n": 50, "k_avg": 4.0}},
          "interventions": [], "output": {}},
-    ], ids=["gillespie", "gillespie-count", "abm", "ode"])
+    ], ids=["gillespie", "gillespie-count", "ode"])
     def test_run_config_round_trips(self, overrides):
         cfg = parse_config(json.dumps({**FULL, **overrides}))
         assert parse_config(cfg.to_json()) == cfg

@@ -17,7 +17,6 @@ from netepi.dynamics import (
     S,
     _ReplayedDraws,
     _SharedPrefix,
-    abm_run,
     gillespie_run,
     gillespie_well_mixed,
     init_state,
@@ -25,12 +24,10 @@ from netepi.dynamics import (
 )
 from netepi.errors import (
     ParameterError,
-    ProbabilityOverflowError,
     StateError,
 )
 from netepi.graphs import Graph, generate_ba, generate_er
 from netepi.interventions import InterventionSpec
-from netepi.ode import FractionState, ode_sir
 
 from invariants import recount_si_edges
 from reference import (
@@ -755,6 +752,25 @@ class TestSharedPrefix:
             assert (run.s[-1], run.i[-1], run.r[-1]) == (run.s[-2], run.i[-2], run.r[-2])
 
 
+    def test_forks_at_the_replay_block_edges(self):
+        # The replay draws its words 64 at first, then in doubling blocks
+        # (128, 256, ...): one fork inside the first block, one past the end
+        # of the 128-word block (word 192) and one past the 256-word block's
+        # (word 448); then an earlier trigger, which restarts the record.
+        g = generate_er(300, 0.02, seed=8)
+        init, params = init_state(g, 3, seed=9), RateParams(0.5, 1.0, 0.3)
+        thin = lambda t: [InterventionSpec(t, "thin", target=0.015, seed=1)]  # noqa: E731
+        pauses = []
+        for t in (0.5, 2.2, 2.9):
+            prefix = _SharedPrefix()
+            gillespie_run(g, params, init, 20.0, 5, thin(t), prefix=prefix)
+            pauses.append(prefix.at[0])
+        assert pauses[0] < 64 and 192 < pauses[1] < 448 < pauses[2]
+        points = [(params, thin(t)) for t in (0.5, 2.2, 2.9, 1.0)]
+        runs = self.assert_fresh_equal(g, init, 20.0, 5, points)
+        assert all(len(run) > 1000 for run in runs)  # each draws on past its fork
+
+
 class TestTrajectoryArrays:
     """The arrays every Gillespie engine returns, and what they cost."""
 
@@ -855,63 +871,6 @@ class TestGillespieWellMixed:
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         with pytest.raises(ParameterError):
             gillespie_well_mixed(100, k_avg, RateParams(0.3, 1.0), 0.05, t_max, 1)
-
-
-class TestAbmRun:
-    def test_beta_zero_no_infections(self):
-        traj = abm_run(100, RateParams(0.0, 0.5), 10, steps=20, seed=1)
-        assert np.all(traj.i + traj.r == 10)
-
-    def test_gamma_one_recovers_in_one_step(self):
-        traj = abm_run(100, RateParams(0.0, 1.0), 10, steps=1, seed=2)
-        assert traj.i[-1] == 0
-        assert traj.r[-1] == 10
-
-    def test_gamma_above_one_rejected(self):
-        with pytest.raises(ProbabilityOverflowError):
-            abm_run(100, RateParams(0.1, 1.5), 10, steps=5, seed=0)
-
-    def test_population_past_one_array_rejected_before_allocating(self):
-        # np.full(10**20, ...) would raise numpy's bare ValueError instead.
-        with pytest.raises(ParameterError, match="do not fit in one array"):
-            abm_run(10**20, RateParams(0.1, 0.5), 1, steps=5, seed=0)
-
-    @pytest.mark.parametrize("n", [0, -3])
-    def test_empty_population_rejected(self, n):
-        with pytest.raises(ParameterError):
-            abm_run(n, RateParams(0.1, 0.5), 0.01, steps=5, seed=0)
-
-    def test_mean_matches_meanfield_map(self):
-        # Oracle: the exact expectation map of the Bernoulli update rule.
-        n, beta, gamma, steps, reps = 10**4, 0.3, 0.1, 120, 50
-        acc = np.zeros((steps + 1, 3))
-        for s in range(reps):
-            traj = abm_run(n, RateParams(beta, gamma), 0.01, steps, seed=s)
-            acc += np.stack([traj.s, traj.i, traj.r], axis=1) / n
-        acc /= reps
-        s_, i_, r_ = 0.99, 0.01, 0.0
-        expected = [(s_, i_, r_)]
-        for _ in range(steps):
-            new_inf = beta * i_ * s_
-            new_rec = gamma * i_
-            s_, i_, r_ = s_ - new_inf, i_ + new_inf - new_rec, r_ + new_rec
-            expected.append((s_, i_, r_))
-        assert np.max(np.abs(acc - np.array(expected))) < 0.01
-
-    def test_tracks_continuous_ode_loosely(self):
-        # Unit-step discretization keeps the ABM within ~0.06 of the
-        # continuous-time solution at these rates; the agreement is
-        # qualitative, not exact.
-        n, beta, gamma, steps, reps = 10**4, 0.3, 0.1, 120, 50
-        acc = np.zeros((steps + 1, 3))
-        for s in range(reps):
-            traj = abm_run(n, RateParams(beta, gamma), 0.01, steps, seed=s)
-            acc += np.stack([traj.s, traj.i, traj.r], axis=1) / n
-        acc /= reps
-        sol = ode_sir(RateParams(beta, gamma), FractionState(0.99, 0.01), float(steps), 0.01)
-        grid = np.arange(steps + 1, dtype=float)
-        idx = np.clip(np.searchsorted(sol.times, grid), 0, len(sol.times) - 1)
-        assert np.max(np.abs(acc - sol.fractions[idx])) < 0.06
 
 
 class TestSummarizeTrajectory:

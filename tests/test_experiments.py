@@ -51,6 +51,11 @@ class TestSweepSpec:
         with pytest.raises(ParameterError):
             SweepSpec(networks=[NetworkSource.er(10, 0.1)], betas=[])
 
+    def test_empty_networks_rejected(self):
+        # A sweep of no networks would write a table with a header and no rows.
+        with pytest.raises(ParameterError, match="networks must be non-empty"):
+            SweepSpec(networks=[], betas=[0.1])
+
     def test_zero_replicates_rejected(self):
         with pytest.raises(ParameterError):
             SweepSpec(networks=[NetworkSource.er(10, 0.1)], betas=[0.1], replicates=0)

@@ -57,12 +57,6 @@ GOLDEN = {
         "e3a904f6ac9a8a92df5125db76740a1f0d0d510a6671e56215ac2b5db59c479b",
     "ode/manifest.json":
         "e49db769723532d90fa955932a0b371440a83af21ea766cd9e5d10c9a426f9b9",
-    "abm/trajectory.csv":
-        "51a889ce2c92b72fe72a8845fb6f3c1e764cc8e437d14dca9f9ac82b22385b05",
-    "abm/manifest.json":
-        "fce68d1df25e93bf39faeb46a0b22385fd4a17f24d93b80c9261f019227878d1",
-    "abm/summary.json":
-        "e4e16fc2944c3488ae4e8ba41f6d9f34c6534234c72c12a7861951203252d601",
     "cp/t.csv":
         "3dd10f6291d600875374e2d572f18edaf974baf48db1ebb3020a1a2420212479",
     "cp/manifest.json":
@@ -114,10 +108,6 @@ SIMULATE = {
     ),
     "well_mixed": _simulate_config({"well_mixed": {"n": 80, "k_avg": 5}}),
     "ode": _simulate_config({"well_mixed": {"n": 80, "k_avg": 5}}, engine="ode", dt=0.05),
-    "abm": _simulate_config(
-        {"well_mixed": {"n": 80, "k_avg": 5}}, engine="abm",
-        rates={"beta": 0.6, "gamma": 0.3},
-    ),
     # An init count, a default alpha and output paths: the manifest's
     # other shapes.
     "cp": {

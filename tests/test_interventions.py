@@ -150,6 +150,17 @@ class TestInterventionSpec:
         with pytest.raises(ParameterError):
             InterventionSpec(1.0, "degree_cap")
 
+    @pytest.mark.parametrize("action, fields, message", [
+        ("degree_cap", {"cap": 2, "target": 0.9}, "degree_cap takes a cap, not a target"),
+        ("thin", {"target": 0.05, "cap": 3}, "thin takes a target, not a cap"),
+    ])
+    def test_field_its_action_does_not_read_rejected(self, action, fields, message):
+        # Rejected, not ignored: the run would differ from what the config says.
+        with pytest.raises(ParameterError, match=message):
+            InterventionSpec(1.0, action, **fields)
+        with pytest.raises(ConfigError, match=message):
+            parse_intervention_block({"t": 1.0, "action": action, **fields})
+
     def test_unknown_action(self):
         with pytest.raises(ParameterError):
             InterventionSpec(1.0, "quarantine", cap=3)
