@@ -103,7 +103,7 @@ def parse_intervention_block(block: dict, path: str = "intervention") -> Interve
     try:
         return InterventionSpec(*values.values())
     except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -59,22 +59,12 @@ class _IndexedSet:
         self.pos[x] = len(self.items)
         self.items.append(x)
 
-    def remove(self, x):
-        i = self.pos.pop(x)
-        last = self.items.pop()
-        if i < len(self.items):
-            self.items[i] = last
-            self.pos[last] = i
-
-    def choose(self, rng: np.random.Generator | _ReplayedDraws):
-        return self.items[rng.integers(len(self.items))]
-
 
 class _ReplayedDraws:
-    """`random()` and `integers(h)` of a PCG64 `np.random.Generator`, replayed
-    in plain Python on its raw 64-bit words (drawn 64 at first, then in
-    blocks doubling up to 8192): the same values in the same order, without
-    a numpy call per draw, and few words drawn ahead of a short run.
+    """The raw 64-bit words of a PCG64 `np.random.Generator` (drawn 64 at
+    first, then in blocks doubling up to 8192) and a buffered high half, on
+    which `_run_events` replays its `random()` and `integers(h)` in plain
+    Python: the same values in order, few words drawn ahead of a short run.
 
     random() takes one whole word w and returns (w >> 11) * 2**-53.
     integers(h) takes the buffered high 32 bits of a word if there are any,
@@ -82,6 +72,7 @@ class _ReplayedDraws:
     applies numpy's Lemire rule: x = bits * h until x % 2**32 >= 2**32 % h,
     then x >> 32 (the rule `graphs.generate_ba` replays). integers(1) takes
     no bits. Exact for 1 <= h < 2**32 only; numpy draws differently above.
+    `_run_events` draws inline but for `_redraw`; see `tests/reference.py`.
 
     A place in the stream is (words read, buffered high half): built with
     it on a fresh bit generator of the same seed, a replay jumps there with
@@ -118,9 +109,6 @@ class _ReplayedDraws:
         first, words, it = self._block
         return first + len(words) - length_hint(it) - back, self._high
 
-    def random(self) -> float:
-        return (self._word() >> 11) * 2.0 ** -53
-
     def _uint32(self) -> int:
         high = self._high
         if high is None:
@@ -130,15 +118,13 @@ class _ReplayedDraws:
         self._high = None
         return high
 
-    def integers(self, h: int) -> int:
-        if h == 1:
-            return 0
-        x = self._uint32() * h
-        if x & 0xFFFFFFFF < h:  # only then can x fall under the rejection threshold
-            reject = (1 << 32) % h
-            while x & 0xFFFFFFFF < reject:
-                x = self._uint32() * h
-        return x >> 32
+    def _redraw(self, x: int, h: int, high: Optional[int]) -> tuple[int, Optional[int]]:
+        """Lemire redraws of integers(h) whose first product x fell under h,
+        with `high` buffered: the accepted product and the half buffered then."""
+        self._high, reject = high, (1 << 32) % h
+        while x & 0xFFFFFFFF < reject:
+            x = self._uint32() * h
+        return x, self._high
 
 
 class CompartmentState:
@@ -147,7 +133,7 @@ class CompartmentState:
     Labels live in one bytearray (`labels` is an int8 view of it). Caches:
     the live S-I edge set (infection propensity and target choice) and the
     infected / recovered node sets (recovery and waning targets). The moves
-    edit the S-I edge set's list and index in place, in neighbour order.
+    of `_run_events` edit their lists and indexes in place, in neighbour order.
     """
 
     def __init__(self, graph: Graph, labels: np.ndarray):
@@ -192,54 +178,6 @@ class CompartmentState:
             raise StateError("intervention changed the node count")
         self.graph = graph
         self._rebuild_caches()
-
-    def infect(self, v: int) -> None:
-        lab, items, pos = self._lab, self.si_edges.items, self.si_edges.pos
-        if lab[v] != S:
-            raise StateError(f"node {v} is not susceptible")
-        lab[v] = I
-        self.n_s -= 1
-        self.n_i += 1
-        self.infected.add(v)
-        for u in self.graph.adjacency[v]:
-            x = lab[u]
-            if x == I:
-                k, last = pos.pop((v, u)), items.pop()
-                if k < len(items):
-                    items[k], pos[last] = last, k
-            elif x == S:
-                edge = (u, v)
-                pos[edge] = len(items)
-                items.append(edge)
-
-    def recover(self, v: int) -> None:
-        lab, items, pos = self._lab, self.si_edges.items, self.si_edges.pos
-        if lab[v] != I:
-            raise StateError(f"node {v} is not infected")
-        lab[v] = R
-        self.n_i -= 1
-        self.n_r += 1
-        self.infected.remove(v)
-        self.recovered.add(v)
-        for u in self.graph.adjacency[v]:
-            if lab[u] == S:
-                k, last = pos.pop((u, v)), items.pop()
-                if k < len(items):
-                    items[k], pos[last] = last, k
-
-    def wane(self, v: int) -> None:
-        lab, items, pos = self._lab, self.si_edges.items, self.si_edges.pos
-        if lab[v] != R:
-            raise StateError(f"node {v} is not recovered")
-        lab[v] = S
-        self.n_r -= 1
-        self.n_s += 1
-        self.recovered.remove(v)
-        for u in self.graph.adjacency[v]:
-            if lab[u] == I:
-                edge = (v, u)
-                pos[edge] = len(items)
-                items.append(edge)
 
 
 def resolve_infected_count(n: int, initial_infected: int | float) -> int:
@@ -393,13 +331,22 @@ class _SharedPrefix:
         return self
 
 
+def _frame(pop: CompartmentState) -> tuple:
+    """`pop`'s labels, adjacency, and its caches' lists and indexes."""
+    si, inf, rec = pop.si_edges, pop.infected, pop.recovered
+    return pop._lab, pop.graph.adjacency, si.items, si.pos, inf.items, inf.pos, rec.items, rec.pos
+
+
 def _run_events(prefix: _SharedPrefix, pending: list) -> Trajectory:
     """Direct-method Gillespie loop (Gillespie 1977) of the network run
     `prefix.run`, with `pending` interventions sorted by trigger time. Its
-    arithmetic and draw order (waiting time, event class, target) are those
-    of the reference steps in `tests/reference.py`; `_ReplayedDraws` gives
+    arithmetic, draw order (waiting time, event class, target) and moves
+    are those of the reference steps in `tests/reference.py`; the draws are
     the `random()` and `integers(h)` of `np.random.default_rng(seed)`,
-    interleaved on one stream of raw words.
+    replayed on the raw words of a `_ReplayedDraws`.
+
+    One frame: `_frame(pop)`, the counts, the word source and the high half
+    are locals, written back to `pop` and `rng` at a pause and at the end.
 
     The run goes on along the intervention-free run of its record `prefix`;
     its stream starts from `seed` at the record's position (0 on a
@@ -415,23 +362,24 @@ def _run_events(prefix: _SharedPrefix, pending: list) -> Trajectory:
     _, init, params, t_max, seed = prefix.run
     pop, t, times, codes = prefix.pop, prefix.t, prefix.times, prefix.codes
     rng = _ReplayedDraws(np.random.default_rng(seed).bit_generator, *prefix.at)
-    draw = rng.random
+    word, high, log = rng._word, rng._high, math.log
     # One test per draw: t + tau >= stop when it crosses the next trigger or
     # passes t_max (x > t_max is x >= nextafter(t_max, inf) in doubles).
     after_t_max = math.nextafter(t_max, math.inf)
     stop = min(after_t_max, pending[0].trigger_time) if pending else after_t_max
     beta, gamma, alpha = params.beta, params.gamma, params.alpha
+    n, n_i, n_r = pop.n, pop.n_i, pop.n_r
+    lab, adj, si_items, si_pos, inf_items, inf_pos, rec_items, rec_pos = _frame(pop)
     while t < t_max:
-        # The caches are read through pop at every event: a local bound to
-        # one would keep the record's S-I edge set alive through the fork.
-        a_inf = beta * len(pop.si_edges.items)
-        a_rec = gamma * pop.n_i
-        a_total = a_inf + a_rec + alpha * pop.n_r
+        a_inf = beta * len(si_items)
+        a_rec = gamma * n_i
+        a_total = a_inf + a_rec + alpha * n_r
         if a_total <= 0:
             # Interventions only remove edges, so an absorbed run stays absorbed.
             break
-        tau = -math.log(1.0 - draw()) / a_total
+        tau = -log(1.0 - (word() >> 11) * 2.0 ** -53) / a_total  # random(): one word
         if t + tau >= stop:
+            pop.n_s, pop.n_i, pop.n_r, rng._high = n - n_i - n_r, n_i, n_r, high
             if prefix is not None:  # the record pauses before this draw
                 prefix.t, prefix.at = t, rng.position(back=1)
             if not (pending and t + tau >= pending[0].trigger_time):
@@ -441,22 +389,84 @@ def _run_events(prefix: _SharedPrefix, pending: list) -> Trajectory:
             if prefix is not None:  # the fork: a twin, then the record dropped
                 pop, times, codes, prefix = copy.copy(pop), times.copy(), codes.copy(), None
                 pop._lab = bytearray(pop._lab)
+            # A local still bound to the replaced caches (at the fork, the
+            # dropped record's) would keep them alive beside the new ones.
+            lab = adj = items = si_items = si_pos = inf_items = inf_pos = rec_items = rec_pos = None
             pop.rebind_graph(graph)
+            lab, adj, si_items, si_pos, inf_items, inf_pos, rec_items, rec_pos = _frame(pop)
             t = min(spec.trigger_time, t_max)
             stop = min(after_t_max, pending[0].trigger_time) if pending else after_t_max
             continue
         t += tau
-        u = draw() * a_total
+        u = (word() >> 11) * 2.0 ** -53 * a_total
         if u < a_inf:
-            pop.infect(pop.si_edges.choose(rng)[0])  # (susceptible, infected)
-            codes.append(0)
+            items, code = si_items, 0
         elif u < a_inf + a_rec:
-            pop.recover(pop.infected.choose(rng))
-            codes.append(1)
+            items, code = inf_items, 1
         else:
-            pop.wane(pop.recovered.choose(rng))
-            codes.append(2)
+            items, code = rec_items, 2
+        # The target items[integers(h)]: the product of the held high half or
+        # a new word's low half, which `_redraw` replaces if it may be rejected.
+        h = len(items)
+        if h == 1:
+            k = 0
+        else:
+            if high is None:
+                x = word()
+                high, x = x >> 32, (x & 0xFFFFFFFF) * h
+            else:
+                x, high = high * h, None
+            if x & 0xFFFFFFFF < h:
+                x, high = rng._redraw(x, h, high)
+            k = x >> 32
+        if code == 0:  # infection of the edge's susceptible end
+            v = items[k][0]
+            lab[v] = I
+            n_i += 1
+            inf_pos[v] = len(inf_items)
+            inf_items.append(v)
+            for w in adj[v]:
+                x = lab[w]
+                if x == I:  # (v, w) is no longer an S-I edge: swap-remove it
+                    j, last = si_pos.pop((v, w)), si_items.pop()
+                    if j < len(si_items):
+                        si_items[j], si_pos[last] = last, j
+                elif x == S:
+                    edge = (w, v)  # (susceptible, infected)
+                    si_pos[edge] = len(si_items)
+                    si_items.append(edge)
+        elif code == 1:  # recovery
+            v = items[k]
+            lab[v] = R
+            n_i -= 1
+            n_r += 1
+            del inf_pos[v]
+            last = inf_items.pop()
+            if k < len(inf_items):
+                inf_items[k], inf_pos[last] = last, k
+            rec_pos[v] = len(rec_items)
+            rec_items.append(v)
+            for w in adj[v]:
+                if lab[w] == S:
+                    j, last = si_pos.pop((w, v)), si_items.pop()
+                    if j < len(si_items):
+                        si_items[j], si_pos[last] = last, j
+        else:  # waning
+            v = items[k]
+            lab[v] = S
+            n_r -= 1
+            del rec_pos[v]
+            last = rec_items.pop()
+            if k < len(rec_items):
+                rec_items[k], rec_pos[last] = last, k
+            for w in adj[v]:
+                if lab[w] == I:
+                    edge = (v, w)
+                    si_pos[edge] = len(si_items)
+                    si_items.append(edge)
+        codes.append(code)
         times.append(t)
+    pop.n_s, pop.n_i, pop.n_r = n - n_i - n_r, n_i, n_r
     if prefix is not None:
         prefix.t = t  # the record's run ended here: absorbed, or past t_max
         prefix = None  # a private record is freed here, a held one keeps its data
@@ -464,7 +474,7 @@ def _run_events(prefix: _SharedPrefix, pending: list) -> Trajectory:
         times.append(t)
         codes.append(3)
     times = np.asarray(times, dtype=np.float64)  # drops the list, unless a record holds it
-    return _trajectory(times, codes, (init.n_s, init.n_i, init.n_r), pop.n,
+    return _trajectory(times, codes, (init.n_s, init.n_i, init.n_r), n,
                        "network-gillespie", seed)
 
 

@@ -1,5 +1,6 @@
 """Plain references the tests hold the package against: the direct method
-one step at a time, an edge list of pairs, the line-by-line edge-list
+one step at a time, its moves one call each and its draws one method
+each, an edge list of pairs, the line-by-line edge-list
 reader with the format's rules written out one line at a time, and the
 one-node-at-a-time Barabási–Albert generator."""
 
@@ -11,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from netepi.dynamics import CompartmentState, RateParams
+from netepi.dynamics import I, R, S, CompartmentState, RateParams, _IndexedSet, _ReplayedDraws
 from netepi.errors import EdgeListFormatError, NetEpiError, ParameterError, StateError
 from netepi.graphs import Graph
 
@@ -67,6 +68,81 @@ def select_event(rates: EventRates, rng: np.random.Generator) -> str:
     if u < rates.infection + rates.recovery:
         return RECOVERY
     return WANING
+
+
+class ReplayedDraws(_ReplayedDraws):
+    """`_ReplayedDraws` with numpy's `random()` and `integers(h)` one call
+    each, on the same words and the same `_redraw` as `_run_events`."""
+
+    __slots__ = ()
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0 ** -53
+
+    def integers(self, h: int) -> int:
+        if h == 1:
+            return 0
+        x = self._uint32() * h
+        if x & 0xFFFFFFFF < h:  # only then can x fall under the rejection threshold
+            x, self._high = self._redraw(x, h, self._high)
+        return x >> 32
+
+
+def remove(cache: _IndexedSet, x) -> None:
+    """Swap-remove: the last item takes x's place."""
+    i = cache.pos.pop(x)
+    last = cache.items.pop()
+    if i < len(cache.items):
+        cache.items[i] = last
+        cache.pos[last] = i
+
+
+def choose(cache: _IndexedSet, rng):
+    return cache.items[rng.integers(len(cache.items))]
+
+
+def infect(state: CompartmentState, v: int) -> None:
+    """S -> I: v's S-I edges to infected neighbours go, edges to susceptible
+    ones come, as (susceptible, infected), in neighbour order."""
+    lab = state._lab
+    if lab[v] != S:
+        raise StateError(f"node {v} is not susceptible")
+    lab[v] = I
+    state.n_s -= 1
+    state.n_i += 1
+    state.infected.add(v)
+    for u in state.graph.adjacency[v]:
+        if lab[u] == I:
+            remove(state.si_edges, (v, u))
+        elif lab[u] == S:
+            state.si_edges.add((u, v))
+
+
+def recover(state: CompartmentState, v: int) -> None:
+    lab = state._lab
+    if lab[v] != I:
+        raise StateError(f"node {v} is not infected")
+    lab[v] = R
+    state.n_i -= 1
+    state.n_r += 1
+    remove(state.infected, v)
+    state.recovered.add(v)
+    for u in state.graph.adjacency[v]:
+        if lab[u] == S:
+            remove(state.si_edges, (u, v))
+
+
+def wane(state: CompartmentState, v: int) -> None:
+    lab = state._lab
+    if lab[v] != R:
+        raise StateError(f"node {v} is not recovered")
+    lab[v] = S
+    state.n_r -= 1
+    state.n_s += 1
+    remove(state.recovered, v)
+    for u in state.graph.adjacency[v]:
+        if lab[u] == I:
+            state.si_edges.add((v, u))
 
 
 def edges(g: Graph) -> list[tuple[int, int]]:

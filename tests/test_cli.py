@@ -366,6 +366,24 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, path", [
+        ("simulate", "interventions[1]"), ("sweep", "sweep.intervention"),
+    ])
+    def test_intervention_error_names_its_block(self, tmp_path, capsys, command, path):
+        block = {"t": 2, "action": "degree_cap"}  # no cap
+        if command == "simulate":
+            doc = {"network": {"er": {"n": 50, "p": 0.1}}, "rates": {"beta": 0.2, "gamma": 1.0},
+                   "init": {"fraction": 0.1, "seed": 5}, "t_max": 5.0,
+                   "interventions": [{"t": 1, "action": "thin", "target": 0.05}, block]}
+        else:
+            doc = {"networks": [{"er": {"n": 50, "p": 0.1}}], "betas": [0.1], "replicates": 1,
+                   "t_max": 1.0, "intervention": block}
+        cfg, out = tmp_path / "in.json", tmp_path / "out"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli(command, str(cfg), "--out-dir", str(out)) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {path}: degree_cap needs a cap >= 0\n"
+        assert not out.exists()
+
     def test_non_utf8_config(self, tmp_path, capsys):
         path = tmp_path / "run.json"
         path.write_bytes(b'{"t_max": \xff}')

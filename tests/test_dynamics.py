@@ -4,6 +4,7 @@ import math
 import pickle
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,9 +37,14 @@ from reference import (
     WANING,
     AbsorbingState,
     EventRates,
+    ReplayedDraws,
+    choose,
     compute_event_rates,
+    infect,
+    recover,
     sample_waiting_time,
     select_event,
+    wane,
 )
 
 
@@ -110,9 +116,9 @@ class TestEventRates:
         rng = np.random.default_rng(7)
         for _ in range(30):
             if len(state.si_edges):
-                state.infect(state.si_edges.choose(rng)[0])
+                infect(state, choose(state.si_edges, rng)[0])
             if len(state.infected):
-                state.recover(state.infected.choose(rng))
+                recover(state, choose(state.infected, rng))
             assert len(state.si_edges) == recount_si_edges(state)
 
 
@@ -125,11 +131,11 @@ class TestLabels:
         rng = np.random.default_rng(5)
         for _ in range(40):
             if len(state.si_edges):
-                state.infect(state.si_edges.choose(rng)[0])
+                infect(state, choose(state.si_edges, rng)[0])
             if len(state.infected) > 1:
-                state.recover(state.infected.choose(rng))
+                recover(state, choose(state.infected, rng))
         if len(state.recovered):
-            state.wane(state.recovered.choose(rng))
+            wane(state, choose(state.recovered, rng))
         labels = state.labels
         assert labels.dtype == np.int8 and labels.shape == (200,)
         assert set(np.flatnonzero(labels == I).tolist()) == set(state.infected.items)
@@ -138,15 +144,15 @@ class TestLabels:
 
         before = labels.copy()
         twin = state.copy()
-        twin.recover(twin.infected.items[0])
-        twin.infect(twin.si_edges.items[0][0])
+        recover(twin, twin.infected.items[0])
+        infect(twin, twin.si_edges.items[0][0])
         assert np.array_equal(state.labels, before)
         assert not np.array_equal(twin.labels, before)
         assert len(state.si_edges) == recount_si_edges(state)
 
         restored = pickle.loads(pickle.dumps(state))
         assert np.array_equal(restored.labels, before)
-        restored.infect(restored.si_edges.items[0][0])
+        infect(restored, restored.si_edges.items[0][0])
         assert np.array_equal(state.labels, before)
 
 
@@ -268,18 +274,19 @@ class TestGillespieRun:
                 break
             kind = select_event(rates, rng)
             if kind == INFECTION:
-                live.infect(live.si_edges.choose(rng)[0])
+                infect(live, choose(live.si_edges, rng)[0])
             elif kind == RECOVERY:
-                live.recover(live.infected.choose(rng))
+                recover(live, choose(live.infected, rng))
             else:
-                live.wane(live.recovered.choose(rng))
+                wane(live, choose(live.recovered, rng))
         assert len(live.si_edges) == recount_si_edges(live)
 
 
-def _reference_run(rates_of, fire, counts, t_max, seed):
+def _reference_run(rates_of, fire, counts, t_max, seed, rng=None):
     """The direct method written with the reference helpers only: one
-    (t, S, I, R) row at the start and after every event."""
-    rng = np.random.default_rng(seed)
+    (t, S, I, R) row at the start and after every event. The draws are
+    `default_rng(seed)`'s, or `rng`'s if given."""
+    rng = np.random.default_rng(seed) if rng is None else rng
     t, rows = 0.0, [(0.0, *counts())]
     while t < t_max:
         rates = rates_of()
@@ -298,16 +305,16 @@ def _rows(traj):
     return list(zip(traj.times.tolist(), traj.s.tolist(), traj.i.tolist(), traj.r.tolist()))
 
 
-def _network_reference(g, params, init, t_max, seed):
+def _network_reference(g, params, init, t_max, seed, rng=None):
     state = init.copy()
     moves = {
-        INFECTION: lambda rng: state.infect(state.si_edges.choose(rng)[0]),
-        RECOVERY: lambda rng: state.recover(state.infected.choose(rng)),
-        WANING: lambda rng: state.wane(state.recovered.choose(rng)),
+        INFECTION: lambda rng: infect(state, choose(state.si_edges, rng)[0]),
+        RECOVERY: lambda rng: recover(state, choose(state.infected, rng)),
+        WANING: lambda rng: wane(state, choose(state.recovered, rng)),
     }
     return _reference_run(lambda: compute_event_rates(g, state, params),
                           lambda kind, rng: moves[kind](rng),
-                          lambda: (state.n_s, state.n_i, state.n_r), t_max, seed)
+                          lambda: (state.n_s, state.n_i, state.n_r), t_max, seed, rng)
 
 
 def _intervened_reference(g, params, init, t_max, seed, interventions):
@@ -335,11 +342,11 @@ def _intervened_reference(g, params, init, t_max, seed, interventions):
         t += tau
         kind = select_event(rates, rng)
         if kind == INFECTION:
-            state.infect(state.si_edges.choose(rng)[0])
+            infect(state, choose(state.si_edges, rng)[0])
         elif kind == RECOVERY:
-            state.recover(state.infected.choose(rng))
+            recover(state, choose(state.infected, rng))
         else:
-            state.wane(state.recovered.choose(rng))
+            wane(state, choose(state.recovered, rng))
         rows.append((t, state.n_s, state.n_i, state.n_r))
     if rows[-1][0] != t:
         rows.append((t, *rows[-1][1:]))
@@ -370,9 +377,9 @@ class TestEngineMatchesReference:
         g = build()
         params = RateParams(0.4, 1.0, alpha)
         moves = {
-            INFECTION: lambda st, rng: st.infect(st.si_edges.choose(rng)[0]),
-            RECOVERY: lambda st, rng: st.recover(st.infected.choose(rng)),
-            WANING: lambda st, rng: st.wane(st.recovered.choose(rng)),
+            INFECTION: lambda st, rng: infect(st, choose(st.si_edges, rng)[0]),
+            RECOVERY: lambda st, rng: recover(st, choose(st.infected, rng)),
+            WANING: lambda st, rng: wane(st, choose(st.recovered, rng)),
         }
         for seed in range(6):
             init = init_state(g, 0.03, seed=seed)
@@ -429,6 +436,41 @@ class TestEngineMatchesReference:
         expected = _network_reference(g, params, init, 45.0, 1)
         assert len(expected) - 1 > 25_000
         assert _rows(gillespie_run(g, params, init, 45.0, 1)) == expected
+
+
+    def test_network_draws_that_reach_the_rejection_branch(self, monkeypatch):
+        # A target draw on the zero low half of every third word is x = 0 < h,
+        # the branch the loop hands to `_redraw`; after it the loop must go
+        # on with the high half that `_redraw` left.
+        g = generate_er(300, 0.03, seed=1)
+        params = RateParams(0.4, 1.0, 0.3)
+        init = init_state(g, 0.03, seed=2)
+        expected = _network_reference(g, params, init, 10.0, 2, ReplayedDraws(_LowHalvesZeroed(2)))
+        calls, redraw = [], _ReplayedDraws._redraw
+        monkeypatch.setattr(_ReplayedDraws, "_redraw",
+                            lambda self, *args: calls.append(args) or redraw(self, *args))
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: SimpleNamespace(bit_generator=_LowHalvesZeroed(seed)))
+        assert _rows(gillespie_run(g, params, init, 10.0, 2)) == expected
+        assert len(expected) > 1000 and len(calls) > 100
+
+
+class _LowHalvesZeroed:
+    """The raw words of `np.random.PCG64(seed)`, but with the low 32 bits
+    of every third one zero."""
+
+    def __init__(self, seed):
+        self._pcg, self._read = np.random.PCG64(seed), 0
+
+    def advance(self, delta):
+        self._pcg.advance(delta)
+        self._read += delta
+
+    def random_raw(self, size):
+        words = self._pcg.random_raw(size)
+        words[np.arange(self._read, self._read + size) % 3 == 0] &= np.uint64(0xFFFFFFFF00000000)
+        self._read += size
+        return words
 
 
 _default_rng = np.random.default_rng
@@ -596,7 +638,8 @@ class _CountingPCG64:
 
 
 class TestReplayedDraws:
-    """`_ReplayedDraws` gives what `np.random.Generator` gives, call for call."""
+    """`_ReplayedDraws`, with the reference draws of `ReplayedDraws`, gives
+    what `np.random.Generator` gives, call for call."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_generator_call_for_call(self, seed):
@@ -606,7 +649,7 @@ class TestReplayedDraws:
         ops = np.random.default_rng(100 + seed).integers(len(bounds) + 1, size=60_000).tolist()
         ref = np.random.default_rng(seed)
         raw = _CountingPCG64(seed)
-        replay = _ReplayedDraws(raw)
+        replay = ReplayedDraws(raw)
         for op in ops:
             if op == len(bounds):
                 assert replay.random() == ref.random()
@@ -628,14 +671,14 @@ class TestReplayedDraws:
         # generator of the same seed. The position is taken mid-block, a few
         # words before a block boundary, on one, and before any block; with
         # or without a buffered high half.
-        replay = _ReplayedDraws(np.random.PCG64(words))
+        replay = ReplayedDraws(np.random.PCG64(words))
         for _ in range(words - held):
             replay.random()
         if held:
             replay.integers(7)  # takes a word's low half, buffers its high half
         read, high = replay.position()
         assert read == max(words, held) and (high is not None) is held
-        clone = _ReplayedDraws(np.random.default_rng(words).bit_generator, read, high)
+        clone = ReplayedDraws(np.random.default_rng(words).bit_generator, read, high)
         ahead = self._ops(clone, words)
         assert self._ops(replay, words) == ahead
 
@@ -643,14 +686,14 @@ class TestReplayedDraws:
     def test_clone_back_one_word_undoes_random(self, words):
         # integers(5) holds a high half, and the last random() takes the
         # last word of the first block (8191) or the first of the second.
-        replay = _ReplayedDraws(np.random.PCG64(3))
+        replay = ReplayedDraws(np.random.PCG64(3))
         replay.integers(5)
         for _ in range(words - 1):
             replay.random()
         last = replay.random()
         read, high = replay.position(back=1)
         assert read == words and high is not None
-        clone = _ReplayedDraws(np.random.default_rng(3).bit_generator, read, high)
+        clone = ReplayedDraws(np.random.default_rng(3).bit_generator, read, high)
         assert clone.random() == last
         assert self._ops(clone, 4) == self._ops(replay, 4)
 
@@ -730,6 +773,52 @@ class TestSharedPrefix:
         traj = gillespie_run(g, params, init, 5.0, 4, prefix=held)
         assert alive == [0, 1]
         assert held.times is not None and len(held.times) == len(traj)
+
+    def test_a_private_records_caches_are_dead_when_new_ones_are_filled(self, monkeypatch):
+        # At the fork the twin shares the record's caches, and the loop holds
+        # their lists and indexes as locals. When a rebuild on the new graph
+        # adds its first item, a private record's S-I set must be dead, list
+        # and index too, or it would sit beside the new one at the peak. A
+        # record that a caller holds keeps its set; a later rebuild replaces
+        # the twin's own.
+        watched, alive = [], []
+
+        class Items(list):
+            pass
+
+        class Index(dict):
+            pass
+
+        class Watched(dynamics._IndexedSet):
+            __slots__ = ("__weakref__",)
+
+            def __init__(self):
+                self.items, self.pos = Items(), Index()
+
+            def add(self, x):
+                if watched:
+                    alive.append(any(ref() is not None for ref in watched))
+                    watched.clear()
+                super().add(x)
+
+        rebind = CompartmentState.rebind_graph
+
+        def spy_rebind(state, graph):
+            old = state.si_edges
+            watched.extend(weakref.ref(x) for x in (old, old.items, old.pos))
+            del old
+            rebind(state, graph)
+
+        monkeypatch.setattr(dynamics, "_IndexedSet", Watched)
+        monkeypatch.setattr(CompartmentState, "rebind_graph", spy_rebind)
+        g = generate_er(2000, 0.005, seed=3)
+        init, params = init_state(g, 0.02, seed=4), RateParams(0.4, 1.0, 0.5)
+        thin = [InterventionSpec(t, "thin", target=0.003, seed=1) for t in (1.0, 2.0)]
+        gillespie_run(g, params, init, 4.0, 5, thin)
+        held = _SharedPrefix()
+        gillespie_run(g, params, init, 4.0, 5, thin, prefix=held)
+        assert alive == [False, False, True, False]
+        assert held.pop.si_edges.items
 
     def test_points_around_t_max_and_other_point_shapes(self):
         # The intervention-free run stops at the draw past t_max, after its
