@@ -4,8 +4,8 @@ Two engines share the Trajectory record:
 
 * exact Gillespie simulation of SIR/SIRS on a contact network
   (`_run_events`),
-* exact Gillespie simulation on a well-mixed population, counts only, run
-  as its jump chain with the clock computed a block of events at a time.
+* exact Gillespie simulation on a well-mixed population, counts only: its
+  jump chain (numpy passes guess, recount and keep what held), then the clock.
 
 A waning-immunity rate of zero turns SIRS into plain SIR everywhere.
 """
@@ -515,6 +515,24 @@ def gillespie_run(
         (g, init, params, t_max, seed), pending[0].trigger_time if pending else math.inf), pending)
 
 
+# Events per guessed pass; a pass costs what _SETTLE events cost one at a time.
+_WINDOW, _SETTLE, _MOVES = 1024, 128, _CODE_CHANGES[:, :2].T.astype(float)
+
+
+def _recount(xs: np.ndarray, s: float, i: float, guess, law: tuple) -> tuple:
+    """(S, I) before each event of codes `guess` from (s, i), then after the
+    last; each event's class and total rate there."""
+    nf, bk, gamma, alpha = law
+    counts = np.empty((2, len(guess) + 1))
+    counts[:, 0], counts[:, 1:] = (s, i), np.take(_MOVES, guess, axis=1)
+    S, I = np.cumsum(counts, axis=1, out=counts)[:, :-1]
+    a_inf = bk * S * I / nf
+    lim = a_inf + gamma * I
+    a_total = lim + alpha * (nf - S - I)
+    y = xs * a_total
+    return counts, np.add(y >= a_inf, y >= lim, dtype=np.uint8), a_total
+
+
 def gillespie_well_mixed(
     n: int,
     k_avg: float,
@@ -534,6 +552,16 @@ def gillespie_well_mixed(
     runs it on plain counts first, then its clock in numpy with the same
     operations (`math.log`, an in-order `cumsum` for `t += tau`), and is
     cut where the loop stops; events past the cut change only counts.
+
+    From 2 * _SETTLE infected and susceptible at a block's start, numpy
+    passes over windows run the chain: each guesses every class (at the
+    block's start counts, then as the last pass found it), counts (S, I)
+    from the guesses, recomputes each class and rate, and keeps the events
+    up to the first changed class. That prefix is exact: counts are
+    integers below 2**53, and each elementwise operation is the loop's own,
+    in its order. A zero total rate absorbs the chain. Once the passes keep
+    under _SETTLE events each (the first not counted), the loop runs the
+    rest of the block, reading its draws a few at a time.
     """
     if not 0 < n <= 2 ** 53:  # the chain's float counts are exact up to 2**53
         raise ParameterError(f"population must be in 1..2**53, got {n}")
@@ -543,23 +571,38 @@ def gillespie_well_mixed(
         raise ParameterError(f"t_max must be positive, got {t_max}")
     n_i = resolve_infected_count(n, initial_infected)
     start = n - n_i, n_i, 0
-    s, i, r, nf = float(n - n_i), float(n_i), 0.0, float(n)  # exact, and faster than ints
+    s, i, nf = float(n - n_i), float(n_i), float(n)  # exact, and faster than ints
     bk, gamma, alpha = params.beta * k_avg, params.gamma, params.alpha
     # The loop's largest rates, bk * s * i before its / nf included; an
     # overflowed total would send every class draw to waning, R below zero.
     if not bk * nf * nf + gamma * nf + alpha * nf < math.inf:
         raise ParameterError(f"total event rate overflows: {params} on {n} nodes, k_avg {k_avg}")
     rng, after_t_max = np.random.default_rng(seed), math.nextafter(t_max, math.inf)
-    t, times, codes = 0.0, array("d", [0.0]), bytearray()
+    t, times, codes, law = 0.0, array("d", [0.0]), bytearray(), (nf, bk, gamma, alpha)
     while t < t_max:
-        u, rates = rng.random(8192), []
-        for x in u[1::2].tolist():
+        u, first, start_counts = rng.random(8192), len(codes), (s, i)
+        xs, pos, passes = u[1::2], 0, 0
+        if k := min(s, i) >= 2 * _SETTLE:  # k: then the events the last pass kept (none: absorbed)
+            a_inf, lim = bk * s * i / nf, bk * s * i / nf + gamma * i  # each class at the start counts
+            y = xs * (lim + alpha * (nf - s - i))
+            guess = np.add(y >= a_inf, y >= lim, dtype=np.uint8)
+        while k and pos < 4096 and pos >= _SETTLE * (passes - 1):
+            g = guess[pos:pos + _WINDOW]
+            counts, c, a_total = _recount(xs[pos:pos + len(g)], s, i, g, law)
+            stop = (c != g) | (a_total <= 0.0)
+            k = int(stop.argmax())
+            k = k + bool(a_total[k] > 0.0) if stop[k] else len(g)  # an absorbed event is not kept
+            codes += c[:k].tobytes()
+            g[k:] = c[k:]
+            s, i = (counts[:, k - 1] + _MOVES[:, c[k - 1]]).tolist() if k else (s, i)
+            pos, passes = pos + k, passes + 1
+        r = nf - s - i
+        for x in chain.from_iterable(xs[a:a + 256].tolist() for a in range(pos, 4096, 256)):
             a_inf = bk * s * i / nf
             a_rec = gamma * i
             a_total = a_inf + a_rec + alpha * r
             if a_total <= 0.0:
                 break
-            rates.append(a_total)
             x *= a_total
             if x < a_inf:
                 s -= 1.0
@@ -573,7 +616,9 @@ def gillespie_well_mixed(
                 r -= 1.0
                 s += 1.0
                 codes.append(2)
-        waits = -np.fromiter(map(math.log, (1.0 - u[:2 * len(rates):2]).tolist()), float) / rates
+        rates = _recount(xs[:len(codes) - first], *start_counts, codes[first:], law)[2]
+        with np.errstate(over="ignore"):  # a tiny rate's wait is inf, past t_max
+            waits = -np.fromiter(map(math.log, (1.0 - u[:2 * len(rates):2]).tolist()), float) / rates
         waits[:1] += t
         clock = np.cumsum(waits)
         # Cut at the first time past t_max, or after one at exactly t_max.

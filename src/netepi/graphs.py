@@ -120,9 +120,13 @@ class Graph:
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         return Graph(indptr, dst, len(keys))
 
+    def arc_sources(self) -> np.ndarray:
+        """The source node of each CSR arc: arc j runs from it to indices[j]."""
+        return np.repeat(np.arange(self.node_count), self.degrees())
+
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) array of rows u < v, sorted."""
-        src = np.repeat(np.arange(self.node_count), self.degrees())
+        src = self.arc_sources()
         upper = src < self.indices
         return np.column_stack([src[upper], self.indices[upper]])
 

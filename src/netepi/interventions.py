@@ -48,7 +48,7 @@ def apply_degree_cap(g: Graph, cap: int, seed: int) -> Graph:
         cut_u.extend(live[cap:])
         cut_v.extend([v] * (len(live) - cap))
     # One mask over the CSR slots drops each cut edge in both directions.
-    src = np.repeat(np.arange(n), deg)
+    src = g.arc_sources()
     a, b = np.frombuffer(cut_v, dtype=np.int64), np.frombuffer(cut_u, dtype=np.int64)
     cut = np.concatenate([a * n + b, b * n + a])
     cut.sort()  # sorted queries make a faster search

@@ -293,6 +293,19 @@ class TestSimulate:
         assert len(lines) == 1 + 501  # header + t in steps of dt=0.01 up to 5.0
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("network", [{"well_mixed": {"n": 100, "k_avg": 10}},
+                                         {"er": {"n": 100, "p": 0.1}}], ids=["well_mixed", "er"])
+    def test_tiny_positive_rate_runs_without_warnings(self, tmp_path, capsys, network):
+        # A subnormal infection rate and nothing else: the first wait is inf,
+        # past t_max, on both engines, and neither warns (warnings are errors here).
+        cfg = self.config(tmp_path, network=network,
+                          rates={"beta": 5e-324, "gamma": 0.0, "alpha": 0.0})
+        out = tmp_path / "out"
+        assert run_cli("simulate", str(cfg), "--out-dir", str(out)) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        assert rows[0] == "t,S,I,R" and all(row.endswith(",99,1,0") for row in rows[1:])
+
     def test_thin_after_degree_cap_runs(self, tmp_path):
         # The cap leaves BA(500, 6) below the thin's target density; the thin
         # is then a no-op, not a runtime failure.

@@ -1,8 +1,10 @@
 import gc
 import io
+import itertools
 import math
 import pickle
 import tracemalloc
+import warnings
 import weakref
 from types import SimpleNamespace
 
@@ -532,6 +534,82 @@ class TestWellMixedBlockEdges:
         expected = _well_mixed_reference(n, 8.0, params, 20, t_max, 0)
         assert expected == full[:event + 1]
         assert _rows(gillespie_well_mixed(n, 8.0, params, 20, t_max, 0)) == expected
+
+
+def _chain_paths(monkeypatch, *args):
+    """A well-mixed run and, per 4096-event block, its guessed passes and
+    the class draws its one-at-a-time loop read: spies on
+    `dynamics._recount`, whose last call in a block recounts the block's
+    codes (a bytearray), and on the loop's `chain.from_iterable`."""
+    blocks, recount = [[0, 0]], dynamics._recount
+
+    def spy(xs, s, i, guess, law):
+        if isinstance(guess, bytearray):
+            blocks.append([0, 0])
+        else:
+            blocks[-1][0] += 1
+        return recount(xs, s, i, guess, law)
+
+    def read(chunks):
+        for x in itertools.chain.from_iterable(chunks):
+            blocks[-1][1] += 1
+            yield x
+
+    monkeypatch.setattr(dynamics, "_recount", spy)
+    monkeypatch.setattr(dynamics, "chain", SimpleNamespace(from_iterable=read))
+    traj = gillespie_well_mixed(*args)
+    monkeypatch.undo()
+    return _rows(traj), blocks[:-1]
+
+
+class TestGuessedChain:
+    """From enough infected and susceptible the well-mixed chain runs in
+    guessed numpy passes and falls back to the one-at-a-time loop; every path
+    must give the reference loop's rows. Each case asserts the path it takes."""
+
+    def check(self, monkeypatch, n, k_avg, params, n_i, t_max, seed):
+        rows, blocks = _chain_paths(monkeypatch, n, k_avg, params, n_i, t_max, seed)
+        assert rows == _well_mixed_reference(n, k_avg, params, n_i, t_max, seed)
+        return rows, blocks
+
+    def test_passes_that_settle(self, monkeypatch):
+        _, blocks = self.check(monkeypatch, 20_000, 10.0, RateParams(0.3, 1.0, 0.2), 1000, 3.0, 1)
+        assert len(blocks) >= 5 and all(passes > 1 and read == 0 for passes, read in blocks)
+
+    def test_passes_that_fall_back(self, monkeypatch):
+        # Fast waning keeps R small, so each waning or recovery moves the
+        # class boundaries: the passes keep few events and the loop runs on.
+        _, blocks = self.check(monkeypatch, 2000, 10.0, RateParams(0.3, 1.0, 20.0), 600, 5.0, 6)
+        assert len(blocks) >= 3 and all(passes > 0 and read > 0 for passes, read in blocks)
+
+    def test_small_counts_never_guess(self, monkeypatch):
+        rows, blocks = self.check(monkeypatch, 50, 10.0, RateParams(0.3, 1.0, 1.0), 5, 2000.0, 1)
+        assert len(rows) - 1 > 4096 and blocks and all(passes == 0 for passes, _ in blocks)
+
+    @pytest.mark.parametrize("n, n_i, blocks_run", [(10_000, 5000, 2), (1000, 300, 1)])
+    def test_absorbed_in_a_pass(self, monkeypatch, n, n_i, blocks_run):
+        # Subcritical SIR from many infected: guessed from its first block,
+        # absorbed within its second (n = 10**4) or its first (n = 1000).
+        rows, blocks = self.check(monkeypatch, n, 10.0, RateParams(0.01, 1.0), n_i, 50.0, 1)
+        assert rows[-1][2] == 0 and len(blocks) == blocks_run and blocks[0][0] > 0
+        assert blocks[-1][0] > 0 and blocks[-1][1] == 1  # the loop reads the absorbed event
+
+    def test_mean_degree_zero(self, monkeypatch):
+        rows, blocks = self.check(monkeypatch, 10_000, 0.0, RateParams(0.3, 1.0, 0.5), 5000, 5.0, 2)
+        assert blocks[0][0] > 0 and rows[-1][1] > 5000  # waning only adds susceptibles
+
+    def test_infection_only_until_no_one_is_susceptible(self, monkeypatch):
+        rows, blocks = self.check(monkeypatch, 20_000, 10.0, RateParams(0.3, 0.0, 0.0), 10, 1e9, 3)
+        assert rows[-1][1:] == (0, 20_000, 0) and len(rows) - 1 == 19_990
+        assert blocks[-1][0] > 0 and blocks[-1][1] == 1  # the loop reads the absorbed event
+
+    def test_tiny_positive_rate_does_not_warn(self):
+        # beta * k_avg * S * I / n is a subnormal above zero, so the first wait
+        # is inf: it is cut as past t_max, without an overflow warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = gillespie_well_mixed(100, 10.0, RateParams(5e-324, 0.0, 0.0), 5, 10.0, 1)
+        assert _rows(traj) == [(0.0, 95, 5, 0)]
 
 
 class TestInterventionsMatchReference:

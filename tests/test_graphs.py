@@ -607,6 +607,7 @@ class TestCsr:
         adj = g.adjacency
         assert g.adjacency is adj
         src = np.repeat(np.arange(g.node_count), g.degrees())
+        assert np.array_equal(g.arc_sources(), src)
         assert (adj, g.edge_count) == reference_from_edges(g.node_count, zip(src, g.indices))
         assert [len(nbrs) for nbrs in adj] == g.degrees().tolist()
         assert edges(g) == sorted((u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v)
