@@ -44,20 +44,16 @@ class RateParams:
 
 
 class _IndexedSet:
-    """Set with O(1) insert/remove and uniform random choice."""
+    """Set with O(1) insert/remove and uniform random choice: `items`, and `pos`, their indexes."""
 
     __slots__ = ("items", "pos")
 
-    def __init__(self):
-        self.items: list = []
-        self.pos: dict = {}
+    def __init__(self, items: list, pos: Optional[dict] = None):
+        self.items = items
+        self.pos = dict(zip(items, range(len(items)))) if pos is None else pos
 
     def __len__(self):
         return len(self.items)
-
-    def add(self, x):
-        self.pos[x] = len(self.items)
-        self.items.append(x)
 
 
 class _ReplayedDraws:
@@ -148,18 +144,18 @@ class CompartmentState:
         self._rebuild_caches()
 
     def _rebuild_caches(self) -> None:
-        self.si_edges = _IndexedSet()
-        self.infected = _IndexedSet()
-        self.recovered = _IndexedSet()
-        lab = self._lab
-        for v in range(self.graph.node_count):
-            if lab[v] == I:
-                self.infected.add(v)
-                for u in self.graph.adjacency[v]:
-                    if lab[u] == S:
-                        self.si_edges.add((u, v))  # (susceptible, infected)
-            elif lab[v] == R:
-                self.recovered.add(v)
+        """Rebuild order, with `graph._ids`' ints: the S-I edges (susceptible, infected) in
+        CSR arc order, by infected node, then neighbour; infected and recovered ascending."""
+        self.si_edges = self.infected = self.recovered = None  # freed before the new fill
+        g, lab, ids = self.graph, self.labels, self.graph._ids
+        rows = np.flatnonzero(lab == I)
+        lens = g.degrees()[rows]  # the infected nodes' arcs in CSR order: src, then nbrs, their ends
+        src = np.repeat(rows, lens)
+        nbrs = g.indices[np.arange(len(src)) + np.repeat(g.indptr[rows] - np.cumsum(lens) + lens, lens)]
+        si = lab[nbrs] == S
+        self.si_edges = _IndexedSet(list(zip(ids[nbrs[si]].tolist(), ids[src[si]].tolist())))
+        self.infected = _IndexedSet(ids[rows].tolist())
+        self.recovered = _IndexedSet(ids[lab == R].tolist())
 
     @property
     def labels(self) -> np.ndarray:
@@ -170,7 +166,12 @@ class CompartmentState:
         return self.graph.node_count
 
     def copy(self) -> "CompartmentState":
-        return CompartmentState(self.graph, self.labels.copy())
+        """Own labels and caches, copied: a rebuild's, as every state handed out keeps rebuild order."""
+        twin = copy.copy(self)
+        twin._lab = bytearray(self._lab)
+        twin.si_edges, twin.infected, twin.recovered = (
+            _IndexedSet(c.items.copy(), c.pos.copy()) for c in (self.si_edges, self.infected, self.recovered))
+        return twin
 
     def rebind_graph(self, graph: Graph) -> None:
         """Swap the contact structure (intervention) and rebuild caches."""
@@ -559,9 +560,9 @@ def gillespie_well_mixed(
     from the guesses, recomputes each class and rate, and keeps the events
     up to the first changed class. That prefix is exact: counts are
     integers below 2**53, and each elementwise operation is the loop's own,
-    in its order. A zero total rate absorbs the chain. Once the passes keep
-    under _SETTLE events each (the first not counted), the loop runs the
-    rest of the block, reading its draws a few at a time.
+    in its order. A zero total rate absorbs the chain and ends the passes.
+    Once they keep under _SETTLE events each (the first not counted), the
+    loop runs the rest of the block, reading its draws a few at a time.
     """
     if not 0 < n <= 2 ** 53:  # the chain's float counts are exact up to 2**53
         raise ParameterError(f"population must be in 1..2**53, got {n}")
@@ -582,7 +583,7 @@ def gillespie_well_mixed(
     while t < t_max:
         u, first, start_counts = rng.random(8192), len(codes), (s, i)
         xs, pos, passes = u[1::2], 0, 0
-        if k := min(s, i) >= 2 * _SETTLE:  # k: then the events the last pass kept (none: absorbed)
+        if k := min(s, i) >= 2 * _SETTLE:  # k: then the events the last pass kept
             a_inf, lim = bk * s * i / nf, bk * s * i / nf + gamma * i  # each class at the start counts
             y = xs * (lim + alpha * (nf - s - i))
             guess = np.add(y >= a_inf, y >= lim, dtype=np.uint8)
@@ -591,11 +592,14 @@ def gillespie_well_mixed(
             counts, c, a_total = _recount(xs[pos:pos + len(g)], s, i, g, law)
             stop = (c != g) | (a_total <= 0.0)
             k = int(stop.argmax())
-            k = k + bool(a_total[k] > 0.0) if stop[k] else len(g)  # an absorbed event is not kept
+            absorbed = a_total[k] <= 0.0  # then event k is not kept, and the passes end
+            k = k + (not absorbed) if stop[k] else len(g)
             codes += c[:k].tobytes()
             g[k:] = c[k:]
             s, i = (counts[:, k - 1] + _MOVES[:, c[k - 1]]).tolist() if k else (s, i)
             pos, passes = pos + k, passes + 1
+            if absorbed:
+                break
         r = nf - s - i
         for x in chain.from_iterable(xs[a:a + 256].tolist() for a in range(pos, 4096, 256)):
             a_inf = bk * s * i / nf

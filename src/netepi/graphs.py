@@ -13,6 +13,7 @@ import hashlib
 import logging
 import math
 import re
+import weakref
 from dataclasses import dataclass
 from itertools import chain
 from typing import IO, Iterable, Optional
@@ -30,6 +31,7 @@ logger = logging.getLogger(__name__)
 
 MIN_TAIL_SIZE = 10  # smallest tail sample the power-law fit accepts
 _MAX_NODES = math.isqrt(2**63 - 1)  # the most nodes whose edge keys u * n + v fit in int64
+_IDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # node count -> `Graph._ids`
 
 
 class Graph:
@@ -69,16 +71,25 @@ class Graph:
         return int.from_bytes(h.digest(), "little")
 
     @functools.cached_property
+    def _ids(self) -> np.ndarray:
+        """Node ids as a read-only object array: the ints the tuples and the state's
+        caches hold, shared by the live graphs of one size."""
+        ids = _IDS.get(self.node_count)
+        if ids is None:
+            ids = _IDS[self.node_count] = np.array(range(self.node_count), dtype=object)
+            ids.setflags(write=False)
+        return ids
+
+    @functools.cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbour tuples, built once per graph for the event loop's state,
-        which walks them (the degree cap reads the CSR lists instead); one int
-        object per node id, shared by every tuple holding it.
+        """Neighbour tuples, built once per graph for the event loop and the
+        degree cap, which walk them; their ids are `_ids`' objects.
 
         The cyclic collector is paused meanwhile: the build makes no cycles,
         but its n tuples would trigger about a third of its time in passes.
         """
         bounds = self.indptr.tolist()
-        flat = np.array(range(self.node_count), dtype=object)[self.indices].tolist()
+        flat = self._ids[self.indices].tolist()
         enabled = gc.isenabled()
         gc.disable()
         try:

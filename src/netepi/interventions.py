@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,26 +29,22 @@ def apply_degree_cap(g: Graph, cap: int, seed: int) -> Graph:
     if cap < 0:
         raise ParameterError(f"degree cap must be >= 0, got {cap}")
     rng = np.random.default_rng(seed)
-    n, deg, bounds = g.node_count, g.degrees(), g.indptr.tolist()
+    n, deg, adj = g.node_count, g.degrees(), g.adjacency
     # Edge (v, u) is cut only by v or by u, so at v's turn it is live unless
     # u already cut and did not keep v. kept[u] is None until u cuts.
     kept: list[Optional[set]] = [None] * n
-    cut_v, cut_u = array("q"), array("q")  # int64 buffers: no int object per cut edge
-    for v in np.argsort(-deg, kind="stable").tolist():
-        if bounds[v + 1] - bounds[v] <= cap:
-            break  # every later node starts, and so stays, at or under the cap
-        # Row by row: a list of every slot would hold an int object (36 B) per slot.
-        nbrs = g.indices[bounds[v]:bounds[v + 1]].tolist()
-        live = [u for u in nbrs if kept[u] is None or v in kept[u]]
+    cut_v, cut_u = [], []  # the adjacency's int objects: 8 B a cut edge, as in int64
+    # Only the nodes that start over the cap, in order: the rest stay under it.
+    for v in np.argsort(-deg, kind="stable")[:np.count_nonzero(deg > cap)].tolist():
+        live = [u for u in adj[v] if (k := kept[u]) is None or v in k]
         if len(live) <= cap:
             continue
         rng.shuffle(live)
         kept[v] = set(live[:cap])
-        cut_u.extend(live[cap:])
-        cut_v.extend([v] * (len(live) - cap))
+        cut_u += live[cap:]
+        cut_v += [v] * (len(live) - cap)
     # One mask over the CSR slots drops each cut edge in both directions.
-    src = g.arc_sources()
-    a, b = np.frombuffer(cut_v, dtype=np.int64), np.frombuffer(cut_u, dtype=np.int64)
+    src, a, b = g.arc_sources(), np.array(cut_v, dtype=np.int64), np.array(cut_u, dtype=np.int64)
     cut = np.concatenate([a * n + b, b * n + a])
     cut.sort()  # sorted queries make a faster search
     keep = np.ones(len(src), dtype=bool)

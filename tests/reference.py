@@ -1,11 +1,13 @@
 """Plain references the tests hold the package against: the direct method
 one step at a time, its moves one call each and its draws one method
-each, an edge list of pairs, the line-by-line edge-list
-reader with the format's rules written out one line at a time, and the
-one-node-at-a-time Barabási–Albert generator."""
+each, the state's caches built one node at a time, an edge list of pairs,
+the line-by-line edge-list reader with the format's rules written out one
+line at a time, the one-node-at-a-time Barabási–Albert generator, and the
+degree cap on the CSR rows one row at a time."""
 
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
@@ -88,6 +90,28 @@ class ReplayedDraws(_ReplayedDraws):
         return x >> 32
 
 
+def add(cache: _IndexedSet, x) -> None:
+    cache.pos[x] = len(cache.items)
+    cache.items.append(x)
+
+
+def rebuild_caches(state: CompartmentState) -> tuple[_IndexedSet, _IndexedSet, _IndexedSet]:
+    """The S-I edge, infected and recovered sets of `state`'s labels, one
+    node at a time: each infected node in id order, then its S-I edges as
+    (susceptible, infected) in neighbour order; each recovered node too."""
+    si_edges, infected, recovered = _IndexedSet([]), _IndexedSet([]), _IndexedSet([])
+    lab = state._lab
+    for v in range(state.graph.node_count):
+        if lab[v] == I:
+            add(infected, v)
+            for u in state.graph.adjacency[v]:
+                if lab[u] == S:
+                    add(si_edges, (u, v))
+        elif lab[v] == R:
+            add(recovered, v)
+    return si_edges, infected, recovered
+
+
 def remove(cache: _IndexedSet, x) -> None:
     """Swap-remove: the last item takes x's place."""
     i = cache.pos.pop(x)
@@ -110,12 +134,12 @@ def infect(state: CompartmentState, v: int) -> None:
     lab[v] = I
     state.n_s -= 1
     state.n_i += 1
-    state.infected.add(v)
+    add(state.infected, v)
     for u in state.graph.adjacency[v]:
         if lab[u] == I:
             remove(state.si_edges, (v, u))
         elif lab[u] == S:
-            state.si_edges.add((u, v))
+            add(state.si_edges, (u, v))
 
 
 def recover(state: CompartmentState, v: int) -> None:
@@ -126,7 +150,7 @@ def recover(state: CompartmentState, v: int) -> None:
     state.n_i -= 1
     state.n_r += 1
     remove(state.infected, v)
-    state.recovered.add(v)
+    add(state.recovered, v)
     for u in state.graph.adjacency[v]:
         if lab[u] == S:
             remove(state.si_edges, (u, v))
@@ -142,7 +166,7 @@ def wane(state: CompartmentState, v: int) -> None:
     remove(state.recovered, v)
     for u in state.graph.adjacency[v]:
         if lab[u] == I:
-            state.si_edges.add((v, u))
+            add(state.si_edges, (v, u))
 
 
 def edges(g: Graph) -> list[tuple[int, int]]:
@@ -244,3 +268,35 @@ def generate_ba(n: int, m: int, seed: int) -> Graph:
     # Per new node: its m targets, then m copies of itself, which pair up as its edges.
     edges = np.array(repeated).reshape(-1, 2, m).transpose(0, 2, 1).reshape(-1, 2)
     return Graph.from_edges(n, edges)
+
+
+def apply_degree_cap(g: Graph, cap: int, seed: int) -> Graph:
+    """The degree cap of `netepi.interventions.apply_degree_cap` on the CSR
+    rows, one row at a time: the same nodes in the same order, the same
+    `rng.shuffle` calls on the same lists, so the same graph."""
+    if cap < 0:
+        raise ParameterError(f"degree cap must be >= 0, got {cap}")
+    rng = np.random.default_rng(seed)
+    n, deg, bounds = g.node_count, g.degrees(), g.indptr.tolist()
+    kept: list[Optional[set]] = [None] * n
+    cut_v, cut_u = array("q"), array("q")
+    for v in np.argsort(-deg, kind="stable").tolist():
+        if bounds[v + 1] - bounds[v] <= cap:
+            break
+        nbrs = g.indices[bounds[v]:bounds[v + 1]].tolist()
+        live = [u for u in nbrs if kept[u] is None or v in kept[u]]
+        if len(live) <= cap:
+            continue
+        rng.shuffle(live)
+        kept[v] = set(live[:cap])
+        cut_u.extend(live[cap:])
+        cut_v.extend([v] * (len(live) - cap))
+    src = g.arc_sources()
+    a, b = np.frombuffer(cut_v, dtype=np.int64), np.frombuffer(cut_u, dtype=np.int64)
+    cut = np.concatenate([a * n + b, b * n + a])
+    cut.sort()
+    keep = np.ones(len(src), dtype=bool)
+    keep[np.searchsorted(src * n + g.indices, cut)] = False
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src[keep], minlength=n), out=indptr[1:])
+    return Graph(indptr, g.indices[keep], g.edge_count - len(cut_v))

@@ -29,7 +29,7 @@ from netepi.errors import (
     ParameterError,
     StateError,
 )
-from netepi.graphs import Graph, generate_ba, generate_er
+from netepi.graphs import Graph, generate_ba, generate_er, generate_ws
 from netepi.interventions import InterventionSpec
 
 from invariants import recount_si_edges
@@ -43,6 +43,7 @@ from reference import (
     choose,
     compute_event_rates,
     infect,
+    rebuild_caches,
     recover,
     sample_waiting_time,
     select_event,
@@ -92,6 +93,72 @@ class TestInitState:
     def test_fraction_above_one_rejected(self):
         with pytest.raises(ParameterError):
             init_state(triangle(), 1.5, seed=0)
+
+
+def _caches(state):
+    return state.si_edges, state.infected, state.recovered
+
+
+class TestCacheBuild:
+    """The caches built from the CSR arcs equal the one-node-at-a-time walk
+    of `reference.rebuild_caches`, item for item and index for index."""
+
+    @staticmethod
+    def assert_rebuilt(state):
+        for got, want in zip(_caches(state), rebuild_caches(state)):
+            assert got.items == want.items
+            assert list(got.pos.items()) == list(want.pos.items())
+
+    @pytest.mark.parametrize("build", [
+        lambda: generate_er(400, 0.02, seed=1),
+        lambda: generate_er(400, 0.003, seed=1),  # about 30 % of the nodes isolated
+        lambda: generate_ws(300, 6, 0.3, seed=2),
+        lambda: generate_ba(500, 3, seed=3),
+        lambda: Graph.from_edges(12, [(0, 1), (0, 2), (3, 4)]),  # 5..11 isolated
+        lambda: Graph.from_edges(1, []),
+    ], ids=["er", "er-sparse", "ws", "ba", "isolated", "one-node"])
+    def test_random_labels(self, build):
+        # Mixed labels, then none infected, all recovered, all infected.
+        g = build()
+        rng = np.random.default_rng(7)
+        for p in ([0.6, 0.3, 0.1], [0.2, 0.1, 0.7], [0.7, 0.0, 0.3], [0, 0, 1], [0, 1, 0]):
+            for _ in range(3):
+                state = CompartmentState(g, rng.choice(3, size=g.node_count, p=p).astype(np.int8))
+                self.assert_rebuilt(state)
+                assert len(state.si_edges) == recount_si_edges(state)
+
+    def test_rebind_rebuilds_on_the_new_graph(self):
+        g = generate_ba(600, 5, seed=4)
+        state = init_state(g, 0.2, seed=5)
+        state.rebind_graph(InterventionSpec(0.0, "degree_cap", cap=3, seed=1).apply(g))
+        assert state.graph is not g
+        self.assert_rebuilt(state)
+
+    def test_caches_hold_the_graphs_id_objects(self):
+        # One int object per node id, the one the neighbour tuples hold.
+        g = generate_ba(2000, 3, seed=4)
+        state = CompartmentState(g, np.random.default_rng(6).choice(3, size=2000).astype(np.int8))
+        ids = g._ids
+        assert all(v is ids[v] for cache in _caches(state)[1:] for v in cache.items)
+        assert all(u is ids[u] and v is ids[v] for u, v in state.si_edges.items)
+        assert all(u is ids[u] for nbrs in g.adjacency for u in nbrs)
+
+    @pytest.mark.parametrize("fresh", ["init_state", "labels"])
+    def test_copy_equals_a_rebuild_and_owns_its_lists(self, fresh):
+        g = generate_ba(400, 4, seed=6)
+        labels = np.random.default_rng(8).choice(3, size=400).astype(np.int8)
+        state = init_state(g, 0.1, seed=9) if fresh == "init_state" else CompartmentState(g, labels)
+        twin = state.copy()
+        self.assert_rebuilt(twin)
+        assert twin.graph is g and (twin.n_s, twin.n_i, twin.n_r) == (state.n_s, state.n_i, state.n_r)
+        assert twin._lab == state._lab and twin._lab is not state._lab
+        for a, b in zip(_caches(state), _caches(twin)):
+            assert a is not b and a.items is not b.items and a.pos is not b.pos
+        before = [(c.items.copy(), c.pos.copy()) for c in _caches(state)]
+        recover(twin, twin.infected.items[0])
+        infect(twin, twin.si_edges.items[0][0])
+        assert [(c.items, c.pos) for c in _caches(state)] == before
+        self.assert_rebuilt(state)
 
 
 class TestEventRates:
@@ -594,6 +661,23 @@ class TestGuessedChain:
         assert rows[-1][2] == 0 and len(blocks) == blocks_run and blocks[0][0] > 0
         assert blocks[-1][0] > 0 and blocks[-1][1] == 1  # the loop reads the absorbed event
 
+    def test_no_pass_starts_absorbed(self, monkeypatch):
+        # Subcritical SIR from 300 infected, absorbed within its second pass
+        # (558 events): the passes end there, and none starts at I = 0.
+        starts, recount = [], dynamics._recount
+
+        def spy(xs, s, i, guess, law):
+            if not isinstance(guess, bytearray):  # a pass, not the block's clock
+                starts.append((s, i))
+            return recount(xs, s, i, guess, law)
+
+        args = 1000, 10.0, RateParams(0.05, 1.0), 300, 50.0, 1
+        monkeypatch.setattr(dynamics, "_recount", spy)
+        rows = _rows(gillespie_well_mixed(*args))
+        monkeypatch.undo()
+        assert rows == _well_mixed_reference(*args) and len(rows) - 1 == 558
+        assert rows[-1][2] == 0 and starts == [(700.0, 300.0), (664.0, 215.0)]
+
     def test_mean_degree_zero(self, monkeypatch):
         rows, blocks = self.check(monkeypatch, 10_000, 0.0, RateParams(0.3, 1.0, 0.5), 5000, 5.0, 2)
         assert blocks[0][0] > 0 and rows[-1][1] > 5000  # waning only adds susceptibles
@@ -681,20 +765,18 @@ class TestInterventionsMatchReference:
 
     def test_the_caches_a_rebuild_replaces_are_freed(self, monkeypatch):
         # After each rebuild on a new graph, none of the S-I edge, infected
-        # and recovered sets it replaced may be alive: at the fork they are
-        # the dropped record's, and a loop local bound to one would keep it
-        # beside the new caches.
-        class Watched(dynamics._IndexedSet):
-            __slots__ = ("__weakref__",)
-
+        # and recovered sets it replaced, lists and indexes too, may be
+        # alive: at the fork they are the dropped record's, and a loop local
+        # bound to one would keep it beside the new caches.
         alive, rebind = [], CompartmentState.rebind_graph
 
         def spy_rebind(state, graph):
-            old = [weakref.ref(s) for s in (state.si_edges, state.infected, state.recovered)]
+            old = [weakref.ref(x) for s in (state.si_edges, state.infected, state.recovered)
+                   for x in (s, s.items, s.pos)]
             rebind(state, graph)
             alive.append(sum(1 for ref in old if ref() is not None))
 
-        monkeypatch.setattr(dynamics, "_IndexedSet", Watched)
+        monkeypatch.setattr(dynamics, "_IndexedSet", _watched_sets(lambda: None))
         monkeypatch.setattr(CompartmentState, "rebind_graph", spy_rebind)
         g = generate_er(2000, 0.005, seed=3)
         init = init_state(g, 0.02, seed=4)
@@ -702,6 +784,29 @@ class TestInterventionsMatchReference:
         traj = gillespie_run(g, RateParams(0.4, 1.0, 0.5), init, 4.0, 5, thin)
         assert traj.times[-1] > 2.0
         assert alive == [0, 0]
+
+
+class _Items(list):
+    """A cache's list that can be weakly referenced."""
+
+
+class _Index(dict):
+    """A cache's index that can be weakly referenced."""
+
+
+def _watched_sets(on_fill):
+    """An `_IndexedSet` whose instances, lists and indexes can be weakly
+    referenced, calling `on_fill()` as each one is filled."""
+
+    class Watched(dynamics._IndexedSet):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, items, pos=None):
+            on_fill()
+            super().__init__(_Items(items), _Index(
+                zip(items, range(len(items))) if pos is None else pos))
+
+    return Watched
 
 
 class _CountingPCG64:
@@ -855,29 +960,16 @@ class TestSharedPrefix:
     def test_a_private_records_caches_are_dead_when_new_ones_are_filled(self, monkeypatch):
         # At the fork the twin shares the record's caches, and the loop holds
         # their lists and indexes as locals. When a rebuild on the new graph
-        # adds its first item, a private record's S-I set must be dead, list
+        # fills its first set, a private record's S-I set must be dead, list
         # and index too, or it would sit beside the new one at the peak. A
         # record that a caller holds keeps its set; a later rebuild replaces
         # the twin's own.
         watched, alive = [], []
 
-        class Items(list):
-            pass
-
-        class Index(dict):
-            pass
-
-        class Watched(dynamics._IndexedSet):
-            __slots__ = ("__weakref__",)
-
-            def __init__(self):
-                self.items, self.pos = Items(), Index()
-
-            def add(self, x):
-                if watched:
-                    alive.append(any(ref() is not None for ref in watched))
-                    watched.clear()
-                super().add(x)
+        def on_fill():
+            if watched:  # the rebuild's first fill
+                alive.append(any(ref() is not None for ref in watched))
+                watched.clear()
 
         rebind = CompartmentState.rebind_graph
 
@@ -887,7 +979,7 @@ class TestSharedPrefix:
             del old
             rebind(state, graph)
 
-        monkeypatch.setattr(dynamics, "_IndexedSet", Watched)
+        monkeypatch.setattr(dynamics, "_IndexedSet", _watched_sets(on_fill))
         monkeypatch.setattr(CompartmentState, "rebind_graph", spy_rebind)
         g = generate_er(2000, 0.005, seed=3)
         init, params = init_state(g, 0.02, seed=4), RateParams(0.4, 1.0, 0.5)

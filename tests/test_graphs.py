@@ -3,6 +3,7 @@ import hashlib
 import io
 import logging
 import pickle
+import weakref
 from itertools import chain
 
 import numpy as np
@@ -32,6 +33,7 @@ from netepi.graphs import (
     metrics_report,
     save_edge_list,
 )
+from netepi.interventions import thin_to_density
 
 from invariants import check_graph_invariants
 import reference
@@ -600,6 +602,20 @@ class TestCsr:
         finally:
             (gc.enable if was else gc.disable)()
         assert (adj, g.edge_count) == reference_from_edges(g.node_count, zip(src, g.indices))
+
+    def test_live_graphs_of_one_size_share_their_id_objects(self):
+        # The neighbour tuples of a graph and of its thinned successor hold
+        # one int object per node id, read from one read-only object array,
+        # which goes with the last graph holding it.
+        g = generate_ba(1000, 3, seed=6)
+        h = thin_to_density(g, density(g) / 2, seed=1)
+        assert h._ids is g._ids and not g._ids.flags.writeable
+        assert g._ids.tolist() == list(range(1000))
+        assert all(u is g._ids[u] for adj in (g.adjacency, h.adjacency) for nbrs in adj for u in nbrs)
+        assert generate_er(500, 0.01, seed=1)._ids.tolist() == list(range(500))
+        ids = weakref.ref(g._ids)
+        del g, h
+        assert ids() is None
 
     def test_adjacency_is_derived_once_on_use(self):
         g = generate_ba(500, 3, seed=4)

@@ -11,6 +11,7 @@ from netepi.graphs import Graph, density, generate_ba, generate_er, generate_ws,
 from netepi.interventions import InterventionSpec, apply_degree_cap, thin_to_density
 
 from invariants import check_graph_invariants
+from reference import apply_degree_cap as row_by_row_cap
 from reference import edges
 
 
@@ -96,6 +97,36 @@ class TestApplyDegreeCap:
                 capped = apply_degree_cap(g, cap, seed)
                 assert capped == reference_degree_cap(g, cap, seed), (cap, seed)
                 assert capped.edge_count == len(capped.indices) // 2
+
+
+class TestMatchesRowByRowReference:
+    """The cap on the neighbour tuples equals `reference.apply_degree_cap`,
+    the cap on the CSR rows one row at a time, graph for graph."""
+
+    @pytest.mark.parametrize("build, cap", [
+        (lambda: generate_ba(3000, 20, seed=1), 5),
+        (lambda: generate_ba(30000, 5, seed=1), 4),
+        (lambda: generate_er(3000, 0.004, seed=2), 6),
+    ], ids=["ba-3000-20", "ba-30000-5", "er"])
+    def test_graphs(self, build, cap):
+        g = build()
+        for seed in (1, 2):
+            capped = apply_degree_cap(g, cap, seed)
+            assert capped == row_by_row_cap(g, cap, seed)
+            assert capped.edge_count < g.edge_count
+
+    def test_cap_zero_and_at_or_above_the_largest_degree(self):
+        g = generate_ba(500, 4, seed=3)
+        top = int(g.degrees().max())
+        for cap in (0, top - 1, top, top + 1, 10 * top):
+            assert apply_degree_cap(g, cap, 4) == row_by_row_cap(g, cap, 4), cap
+        assert apply_degree_cap(g, 0, 4).edge_count == 0 and apply_degree_cap(g, top, 4) == g
+
+    def test_a_graph_whose_adjacency_was_never_built(self):
+        g = generate_er(500, 0.02, seed=5)
+        want = row_by_row_cap(g, 3, 6)
+        assert "adjacency" not in vars(g)
+        assert apply_degree_cap(g, 3, 6) == want
 
 
 class TestThinToDensity:
