@@ -56,71 +56,32 @@ class _IndexedSet:
         return len(self.items)
 
 
-class _ReplayedDraws:
-    """The raw 64-bit words of a PCG64 `np.random.Generator` (drawn 64 at
-    first, then in blocks doubling up to 8192) and a buffered high half, on
-    which `_run_events` replays its `random()` and `integers(h)` in plain
-    Python: the same values in order, few words drawn ahead of a short run.
+def _words(bit_generator: np.random.BitGenerator, read: int = 0) -> tuple:
+    """The raw 64-bit words of a PCG64 bit generator after its first `read`
+    (`advance` jumps them), drawn 64 at first, then in blocks doubling up
+    to 8192, so few are drawn ahead of a short run: the next-word callable,
+    and `words_read()`, the count handed out, `read` included."""
+    if read:
+        bit_generator.advance(read)
+    # The index of the block's first word, its words, their iterator. The
+    # block generator and the counter refer to this holder, not to each
+    # other: a cycle would keep every block alive until the collector ran.
+    block = [read, [], iter(())]
 
-    random() takes one whole word w and returns (w >> 11) * 2**-53.
-    integers(h) takes the buffered high 32 bits of a word if there are any,
-    else the low 32 bits of the next word (buffering its high half), and
-    applies numpy's Lemire rule: x = bits * h until x % 2**32 >= 2**32 % h,
-    then x >> 32 (the rule `graphs.generate_ba` replays). integers(1) takes
-    no bits. Exact for 1 <= h < 2**32 only; numpy draws differently above.
-    `_run_events` draws inline but for `_redraw`; see `tests/reference.py`.
+    def blocks():
+        size = 64
+        while True:
+            yield block[2]
+            block[0] += len(block[1])
+            block[1] = bit_generator.random_raw(size).tolist()
+            block[2] = iter(block[1])
+            size = min(2 * size, 8192)
 
-    A place in the stream is (words read, buffered high half): built with
-    it on a fresh bit generator of the same seed, a replay jumps there with
-    `advance` and draws what the one that gave `position()` draws next.
-    """
+    def words_read() -> int:
+        first, words, it = block
+        return first + len(words) - length_hint(it)
 
-    __slots__ = ("_block", "_word", "_high")
-
-    def __init__(self, bit_generator: np.random.BitGenerator, read: int = 0,
-                 high: Optional[int] = None):
-        if read:
-            bit_generator.advance(read)
-        # _block: the index of the block's first word, its words, their
-        # iterator. The block generator refers to this holder, never to self:
-        # a method of self in the word chain would be a reference cycle,
-        # which keeps every block alive until the cyclic collector runs.
-        block = [read, [], iter(())]
-
-        def blocks():
-            size = 64
-            while True:
-                yield block[2]
-                block[0] += len(block[1])
-                block[1] = bit_generator.random_raw(size).tolist()
-                block[2] = iter(block[1])
-                size = min(2 * size, 8192)
-
-        self._block, self._high = block, high
-        self._word = chain.from_iterable(blocks()).__next__
-
-    def position(self, back: int = 0) -> tuple[int, Optional[int]]:
-        """(words read - `back`, buffered high half): back = 1 right after
-        random() undoes it, as it took one word and left the high half alone."""
-        first, words, it = self._block
-        return first + len(words) - length_hint(it) - back, self._high
-
-    def _uint32(self) -> int:
-        high = self._high
-        if high is None:
-            word = self._word()
-            self._high = word >> 32
-            return word & 0xFFFFFFFF
-        self._high = None
-        return high
-
-    def _redraw(self, x: int, h: int, high: Optional[int]) -> tuple[int, Optional[int]]:
-        """Lemire redraws of integers(h) whose first product x fell under h,
-        with `high` buffered: the accepted product and the half buffered then."""
-        self._high, reject = high, (1 << 32) % h
-        while x & 0xFFFFFFFF < reject:
-            x = self._uint32() * h
-        return x, self._high
+    return chain.from_iterable(blocks()).__next__, words_read
 
 
 class CompartmentState:
@@ -305,12 +266,12 @@ class _SharedPrefix:
 
     It holds data only: the state, times and codes at time t, where the
     last call that ran on it paused it, and `at`, the stream position
-    (`_ReplayedDraws.position`) of the draw it paused before, whose waiting
-    time crossed that call's trigger or t_max. A call whose first trigger
-    falls after t resumes it there; any other call restarts it from the
-    initial state. `_run_events` forks every run off it at its first
-    trigger, the same way; a record that no caller holds is freed there,
-    or, in a run that does not fork, before its trajectory is built.
+    (words read, high half held) of the draw it paused before, whose
+    waiting time crossed that call's trigger or t_max. A call whose first
+    trigger falls after t resumes it there; any other call restarts it
+    from the initial state. `_run_events` forks every run off it at its
+    first trigger, the same way; a record that no caller holds is freed
+    there, or, in a run that does not fork, before its trajectory is built.
     A run that stops with no draw pending, absorbed or at t == t_max, keeps
     its last `at`: no resume reads it, as an absorbed run breaks before it
     draws and at t_max the loop does not start (`TestSharedPrefix` has both).
@@ -344,13 +305,18 @@ def _run_events(prefix: _SharedPrefix, pending: list) -> Trajectory:
     arithmetic, draw order (waiting time, event class, target) and moves
     are those of the reference steps in `tests/reference.py`; the draws are
     the `random()` and `integers(h)` of `np.random.default_rng(seed)`,
-    replayed on the raw words of a `_ReplayedDraws`.
+    replayed on the raw words of `_words`: random() is (w >> 11) * 2**-53 of
+    a word w; integers(h), for 2 <= h < 2**32, takes the held high 32 bits
+    of a word, or the next word's low 32 (holding its high half), and
+    applies numpy's Lemire rule, x = bits * h until x % 2**32 >= 2**32 % h,
+    then x >> 32 (as `graphs.generate_ba` does); integers(1) takes no bits.
 
     One frame: `_frame(pop)`, the counts, the word source and the high half
-    are locals, written back to `pop` and `rng` at a pause and at the end.
+    are locals; the counts are written back to `pop` at a pause and at the
+    end, the position (words read, high half) to the record at a pause.
 
     The run goes on along the intervention-free run of its record `prefix`;
-    its stream starts from `seed` at the record's position (0 on a
+    its stream starts from `seed` at the record's position ((0, None) on a
     restart). Up to the first draw whose t + tau crosses the first trigger,
     both runs draw alike. At that draw every run forks the same way: the
     record pauses before it, and this run goes on with the draws as they
@@ -362,8 +328,8 @@ def _run_events(prefix: _SharedPrefix, pending: list) -> Trajectory:
     """
     _, init, params, t_max, seed = prefix.run
     pop, t, times, codes = prefix.pop, prefix.t, prefix.times, prefix.codes
-    rng = _ReplayedDraws(np.random.default_rng(seed).bit_generator, *prefix.at)
-    word, high, log = rng._word, rng._high, math.log
+    word, words_read = _words(np.random.default_rng(seed).bit_generator, prefix.at[0])
+    high, log = prefix.at[1], math.log
     # One test per draw: t + tau >= stop when it crosses the next trigger or
     # passes t_max (x > t_max is x >= nextafter(t_max, inf) in doubles).
     after_t_max = math.nextafter(t_max, math.inf)
@@ -380,9 +346,9 @@ def _run_events(prefix: _SharedPrefix, pending: list) -> Trajectory:
             break
         tau = -log(1.0 - (word() >> 11) * 2.0 ** -53) / a_total  # random(): one word
         if t + tau >= stop:
-            pop.n_s, pop.n_i, pop.n_r, rng._high = n - n_i - n_r, n_i, n_r, high
-            if prefix is not None:  # the record pauses before this draw
-                prefix.t, prefix.at = t, rng.position(back=1)
+            pop.n_s, pop.n_i, pop.n_r = n - n_i - n_r, n_i, n_r
+            if prefix is not None:  # the record pauses before this draw's one word
+                prefix.t, prefix.at = t, (words_read() - 1, high)
             if not (pending and t + tau >= pending[0].trigger_time):
                 break
             spec = pending.pop(0)
@@ -407,18 +373,20 @@ def _run_events(prefix: _SharedPrefix, pending: list) -> Trajectory:
         else:
             items, code = rec_items, 2
         # The target items[integers(h)]: the product of the held high half or
-        # a new word's low half, which `_redraw` replaces if it may be rejected.
+        # a new word's low half, redrawn while the rule rejects it, which it
+        # can only when the product's low half is under h.
         h = len(items)
         if h == 1:
             k = 0
         else:
-            if high is None:
-                x = word()
-                high, x = x >> 32, (x & 0xFFFFFFFF) * h
-            else:
-                x, high = high * h, None
-            if x & 0xFFFFFFFF < h:
-                x, high = rng._redraw(x, h, high)
+            while True:
+                if high is None:
+                    x = word()
+                    high, x = x >> 32, (x & 0xFFFFFFFF) * h
+                else:
+                    x, high = high * h, None
+                if x & 0xFFFFFFFF >= h or x & 0xFFFFFFFF >= (1 << 32) % h:
+                    break
             k = x >> 32
         if code == 0:  # infection of the edge's susceptible end
             v = items[k][0]

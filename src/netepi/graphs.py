@@ -40,23 +40,22 @@ class Graph:
     read-only; `adjacency` holds the same lists as tuples, built on first use.
     """
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, edge_count: int):
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
         indptr, indices = np.asarray(indptr, np.int64), np.asarray(indices, np.int64)
         indptr.setflags(write=False)
         indices.setflags(write=False)
-        self.__dict__.update(indptr=indptr, indices=indices, edge_count=edge_count)
+        self.__dict__.update(indptr=indptr, indices=indices)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Graph is immutable: cannot set {name!r}")
 
     def __reduce__(self):  # pickles the arrays, never the derived tuples
-        return Graph, (self.indptr, self.indices, self.edge_count)
+        return Graph, (self.indptr, self.indices)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self.edge_count == other.edge_count and np.array_equal(self.indptr, other.indptr)
-                and np.array_equal(self.indices, other.indices))
+        return np.array_equal(self.indptr, other.indptr) and np.array_equal(self.indices, other.indices)
 
     def __hash__(self) -> int:
         return self._digest
@@ -82,8 +81,8 @@ class Graph:
 
     @functools.cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbour tuples, built once per graph for the event loop and the
-        degree cap, which walk them; their ids are `_ids`' objects.
+        """Neighbour tuples, built once per graph for the event loop, which
+        walks them, as the degree cap does; their ids are `_ids`' objects.
 
         The cyclic collector is paused meanwhile: the build makes no cycles,
         but its n tuples would trigger about a third of its time in passes.
@@ -101,6 +100,10 @@ class Graph:
     @property
     def node_count(self) -> int:
         return len(self.indptr) - 1
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.indices) // 2  # each edge is two arcs
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> "Graph":
@@ -129,7 +132,7 @@ class Graph:
         src, dst = np.divmod(np.sort(np.concatenate([keys, keys % n * n + keys // n])), n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return Graph(indptr, dst, len(keys))
+        return Graph(indptr, dst)
 
     def arc_sources(self) -> np.ndarray:
         """The source node of each CSR arc: arc j runs from it to indices[j]."""

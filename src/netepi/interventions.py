@@ -29,7 +29,9 @@ def apply_degree_cap(g: Graph, cap: int, seed: int) -> Graph:
     if cap < 0:
         raise ParameterError(f"degree cap must be >= 0, got {cap}")
     rng = np.random.default_rng(seed)
-    n, deg, adj = g.node_count, g.degrees(), g.adjacency
+    # The loop's neighbour tuples if a run built them, else tuples that go with this call.
+    adj = vars(g)["adjacency"] if "adjacency" in vars(g) else Graph.adjacency.func(g)
+    n, deg = g.node_count, g.degrees()
     # Edge (v, u) is cut only by v or by u, so at v's turn it is live unless
     # u already cut and did not keep v. kept[u] is None until u cuts.
     kept: list[Optional[set]] = [None] * n
@@ -43,6 +45,7 @@ def apply_degree_cap(g: Graph, cap: int, seed: int) -> Graph:
         kept[v] = set(live[:cap])
         cut_u += live[cap:]
         cut_v += [v] * (len(live) - cap)
+    adj = kept = None  # freed before the mask's arrays fill, which lowers the peak
     # One mask over the CSR slots drops each cut edge in both directions.
     src, a, b = g.arc_sources(), np.array(cut_v, dtype=np.int64), np.array(cut_u, dtype=np.int64)
     cut = np.concatenate([a * n + b, b * n + a])
@@ -51,7 +54,7 @@ def apply_degree_cap(g: Graph, cap: int, seed: int) -> Graph:
     keep[np.searchsorted(src * n + g.indices, cut)] = False
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src[keep], minlength=n), out=indptr[1:])
-    return Graph(indptr, g.indices[keep], g.edge_count - len(cut_v))
+    return Graph(indptr, g.indices[keep])
 
 
 def thin_to_density(g: Graph, target: float, seed: int) -> Graph:
@@ -98,7 +101,7 @@ class InterventionSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.trigger_time < 0:
+        if not self.trigger_time >= 0:  # NaN too: it would never fire
             raise ParameterError(f"trigger time must be >= 0, got {self.trigger_time}")
         if self.action == "degree_cap":
             if self.cap is None or self.cap < 0:

@@ -1,4 +1,8 @@
-"""Independent recounts that the tests hold graphs and state caches against."""
+"""Independent recounts that the tests hold graphs and state caches
+against, and a census of the event loop's live word sources."""
+
+import gc
+from types import GeneratorType
 
 from netepi.dynamics import I, S, CompartmentState
 from netepi.graphs import Graph
@@ -27,3 +31,10 @@ def check_graph_invariants(g: Graph) -> None:
         total_degree += len(nbrs)
     if total_degree != 2 * g.edge_count:
         raise AssertionError("degree sum does not equal 2 * edge count")
+
+
+def live_word_sources() -> list:
+    """The block generators of `netepi.dynamics._words` still alive: each
+    holds its bit generator and its block of up to 8192 words."""
+    return [o for o in gc.get_objects()
+            if isinstance(o, GeneratorType) and o.gi_code.co_qualname == "_words.<locals>.blocks"]

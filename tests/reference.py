@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from netepi.dynamics import I, R, S, CompartmentState, RateParams, _IndexedSet, _ReplayedDraws
+from netepi.dynamics import I, R, S, CompartmentState, RateParams, _IndexedSet, _words
 from netepi.errors import EdgeListFormatError, NetEpiError, ParameterError, StateError
 from netepi.graphs import Graph
 
@@ -72,21 +72,44 @@ def select_event(rates: EventRates, rng: np.random.Generator) -> str:
     return WANING
 
 
-class ReplayedDraws(_ReplayedDraws):
-    """`_ReplayedDraws` with numpy's `random()` and `integers(h)` one call
-    each, on the same words and the same `_redraw` as `_run_events`."""
+class ReplayedDraws:
+    """numpy's `random()` and `integers(h)` one call each, on the words of
+    `netepi.dynamics._words` from word `read` on, with `high` held: numpy's
+    Lemire rule written out apart from the event loop's. `rejections`
+    counts the products the rule rejected."""
 
-    __slots__ = ()
+    def __init__(self, bit_generator, read: int = 0, high: Optional[int] = None):
+        self._word, self._words_read = _words(bit_generator, read)
+        self._high, self.rejections = high, 0
+
+    def position(self, back: int = 0) -> tuple[int, Optional[int]]:
+        """(words read - `back`, high half held): back = 1 right after
+        random() undoes it, as it took one word and left the high half alone."""
+        return self._words_read() - back, self._high
 
     def random(self) -> float:
         return (self._word() >> 11) * 2.0 ** -53
 
+    def _uint32(self) -> int:
+        """The held high half if there is one, else the next word's low half,
+        holding its high half."""
+        high = self._high
+        if high is None:
+            word = self._word()
+            self._high = word >> 32
+            return word & 0xFFFFFFFF
+        self._high = None
+        return high
+
     def integers(self, h: int) -> int:
+        """x = bits * h until x % 2**32 >= 2**32 % h, then x >> 32; no bits for h = 1."""
         if h == 1:
             return 0
+        reject = (1 << 32) % h
         x = self._uint32() * h
-        if x & 0xFFFFFFFF < h:  # only then can x fall under the rejection threshold
-            x, self._high = self._redraw(x, h, self._high)
+        while x & 0xFFFFFFFF < reject:
+            self.rejections += 1
+            x = self._uint32() * h
         return x >> 32
 
 
@@ -299,4 +322,4 @@ def apply_degree_cap(g: Graph, cap: int, seed: int) -> Graph:
     keep[np.searchsorted(src * n + g.indices, cut)] = False
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src[keep], minlength=n), out=indptr[1:])
-    return Graph(indptr, g.indices[keep], g.edge_count - len(cut_v))
+    return Graph(indptr, g.indices[keep])

@@ -1,4 +1,3 @@
-import gc
 import io
 import itertools
 import math
@@ -18,7 +17,6 @@ from netepi.dynamics import (
     R,
     RateParams,
     S,
-    _ReplayedDraws,
     _SharedPrefix,
     gillespie_run,
     gillespie_well_mixed,
@@ -32,7 +30,7 @@ from netepi.errors import (
 from netepi.graphs import Graph, generate_ba, generate_er, generate_ws
 from netepi.interventions import InterventionSpec
 
-from invariants import recount_si_edges
+from invariants import live_word_sources, recount_si_edges
 from reference import (
     INFECTION,
     RECOVERY,
@@ -508,20 +506,19 @@ class TestEngineMatchesReference:
 
 
     def test_network_draws_that_reach_the_rejection_branch(self, monkeypatch):
-        # A target draw on the zero low half of every third word is x = 0 < h,
-        # the branch the loop hands to `_redraw`; after it the loop must go
-        # on with the high half that `_redraw` left.
+        # A target draw on the zero low half of every third word is x = 0,
+        # which numpy's rule rejects unless h divides 2**32: the loop must
+        # redraw where the reference does, and go on with the high half it
+        # holds then.
         g = generate_er(300, 0.03, seed=1)
         params = RateParams(0.4, 1.0, 0.3)
         init = init_state(g, 0.03, seed=2)
-        expected = _network_reference(g, params, init, 10.0, 2, ReplayedDraws(_LowHalvesZeroed(2)))
-        calls, redraw = [], _ReplayedDraws._redraw
-        monkeypatch.setattr(_ReplayedDraws, "_redraw",
-                            lambda self, *args: calls.append(args) or redraw(self, *args))
+        reference = ReplayedDraws(_LowHalvesZeroed(2))
+        expected = _network_reference(g, params, init, 10.0, 2, reference)
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed: SimpleNamespace(bit_generator=_LowHalvesZeroed(seed)))
         assert _rows(gillespie_run(g, params, init, 10.0, 2)) == expected
-        assert len(expected) > 1000 and len(calls) > 100
+        assert len(expected) > 1000 and reference.rejections > 100
 
 
 class _LowHalvesZeroed:
@@ -821,7 +818,7 @@ class _CountingPCG64:
 
 
 class TestReplayedDraws:
-    """`_ReplayedDraws`, with the reference draws of `ReplayedDraws`, gives
+    """`_words`, with the reference draws of `ReplayedDraws`, gives
     what `np.random.Generator` gives, call for call."""
 
     @pytest.mark.parametrize("seed", range(5))
@@ -926,8 +923,9 @@ class TestSharedPrefix:
         thin = [InterventionSpec(1.0, "thin", target=0.01, seed=1)]
         gillespie_run(g, params, init, 10.0, 4, thin, prefix=prefix)
         read, high = prefix.at
+        assert type(read) is int and (high is None or type(high) is int)
         assert 0 < prefix.t < 1.0 and read > 0 and (high is None or 0 <= high < 2**32)
-        assert not any(isinstance(x, _ReplayedDraws) for x in gc.get_referents(prefix))
+        assert live_word_sources() == []
 
     def test_a_private_record_is_freed_before_the_trajectory_is_built(self, monkeypatch):
         # A run with no intervention never forks. Its private record holds

@@ -10,7 +10,7 @@ import pytest
 from scipy.signal import find_peaks, peak_prominences
 
 from netepi import experiments, graphs, interventions
-from netepi.dynamics import CompartmentState, _ReplayedDraws
+from netepi.dynamics import CompartmentState
 from netepi.errors import ParameterError
 from netepi.experiments import (
     WAVE_MIN_HEIGHT,
@@ -25,6 +25,8 @@ from netepi.experiments import (
     experiment_sirs,
     _count_peaks,
 )
+
+from invariants import live_word_sources
 
 
 class TestNetworkSource:
@@ -211,8 +213,8 @@ class TestInterventionTiming:
             experiment_intervention_timing([0.5, 1.0, 1.5], n=300, m=4, cap=2, beta=0.3,
                                            initial_fraction=0.05, replicates=2, t_max=4.0,
                                            base_seed=3)
-            kept = (_ReplayedDraws, CompartmentState)
-            assert [o for o in gc.get_objects() if isinstance(o, kept)] == []
+            assert [o for o in gc.get_objects() if isinstance(o, CompartmentState)] == []
+            assert live_word_sources() == []
             assert gc.collect() == 0
         finally:
             if enabled:

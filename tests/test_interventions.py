@@ -1,5 +1,6 @@
 import hashlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -128,6 +129,15 @@ class TestMatchesRowByRowReference:
         assert "adjacency" not in vars(g)
         assert apply_degree_cap(g, 3, 6) == want
 
+    def test_the_tuples_a_cap_builds_are_not_kept_on_its_input(self):
+        # On BA(30000, 5) they would hold 4.8 MB on a graph that no run walks.
+        # Tuples a run built before the cap stay, the same object.
+        g = generate_ba(2000, 5, seed=2)
+        want = row_by_row_cap(g, 4, 3)
+        assert apply_degree_cap(g, 4, 3) == want and "adjacency" not in vars(g)
+        adj = g.adjacency
+        assert apply_degree_cap(g, 4, 3) == want and vars(g)["adjacency"] is adj
+
 
 class TestThinToDensity:
     def test_complete_to_half(self):
@@ -191,6 +201,11 @@ class TestInterventionSpec:
             InterventionSpec(1.0, action, **fields)
         with pytest.raises(ConfigError, match=message):
             parse_intervention_block({"t": 1.0, "action": action, **fields})
+
+    def test_nan_trigger_rejected(self):
+        # NaN passes a `< 0` test, and a run would then never apply it.
+        with pytest.raises(ParameterError, match="trigger time must be >= 0, got nan"):
+            InterventionSpec(math.nan, "thin", target=0.0)
 
     def test_unknown_action(self):
         with pytest.raises(ParameterError):
